@@ -7,7 +7,9 @@
 # reconnect, bit-identical decisions across the restart), the serve
 # observability drill (SLO burn-rate alert under an injected delay fault,
 # timeseries ring flush, a traced request stitched across the client and
-# server Chrome-trace dumps), the scheduler-registry zoo suite
+# server Chrome-trace dumps), the perfbench smoke run (every benchmark
+# workload on its smallest inputs, checking metrics, failures and the
+# decision and served-reply digests), the scheduler-registry zoo suite
 # (`ctest -L sched`: id->factory->name round-trips, 1-vs-N-thread
 # bit-identity across the zoo, campaign journals keyed by canonical id,
 # spec-axis/registry drift), a
@@ -217,6 +219,15 @@ rc=0
   --trace-id 0xdead > /dev/null || rc=$?
 [ "$rc" -eq 1 ] || { echo "expected exit 1 for an absent trace id, got $rc"; exit 1; }
 echo "serve slo alert + stitched client/server timeline drill passed"
+
+echo "== tier 1: benchmark smoke (perfbench) =="
+# The BENCHMARK.json command's smoke mode: it builds the benchmark from this
+# checkout into .bench_build/ and runs all four workloads untraced and
+# traced on their smallest inputs. Every listed metric must be emitted with
+# its unit, no operation may fail, trace coverage must reach 0.95, and the
+# seed-2015 decision digests must match perfbench/reference.json — for
+# serve_hot and serve_mixed that is every reply byte the daemon sends.
+python3 perfbench/run.py --smoke
 
 echo "== tier 1: scalar-fallback build + cross-build decision check ($SCALAR_DIR) =="
 # SOLSCHED_SIMD=OFF build: the simd suite must pass with the dispatch

@@ -1,10 +1,12 @@
 #include "serve/server.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -30,36 +32,35 @@ std::uint64_t wall_ms_now() {
           .count());
 }
 
-/// read() the exact byte count; false on EOF/error before completion.
-bool read_exact(int fd, std::uint8_t* out, std::size_t size) {
-  std::size_t got = 0;
-  while (got < size) {
-    const ssize_t n = ::read(fd, out + got, size - got);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
+/// Frames per read() and jobs per worker batch (serve.read_frames,
+/// serve.batch_jobs): how much of the traffic the per-burst transport
+/// actually coalesces. A read that completes no frame counts as 0.
+const std::vector<double>& burst_bounds() {
+  static const std::vector<double> bounds = {0, 1, 2, 4, 8, 16, 32, 64};
+  return bounds;
 }
 
-/// send() everything, MSG_NOSIGNAL so a vanished client cannot SIGPIPE
-/// the daemon; false on error.
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n =
-        ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
+/// Initial receive buffer of a connection; it grows to fit a larger frame.
+constexpr std::size_t kReadBuffer = 64 * 1024;
+/// Most jobs one worker takes from the queue at once.
+constexpr std::size_t kMaxBatch = 16;
+
+/// Waits until `fd` takes more bytes (or reports an error to the next
+/// send()); false once the steady-clock `give_up_us` passes (0 = never).
+bool wait_writable(int fd, std::uint64_t give_up_us) {
+  for (;;) {
+    int timeout_ms = -1;
+    if (give_up_us > 0) {
+      const std::uint64_t now = obs::now_us();
+      if (now >= give_up_us) return false;
+      timeout_ms = static_cast<int>(std::min<std::uint64_t>(
+          (give_up_us - now + 999) / 1000, 1u << 30));
     }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
+    pollfd p{fd, POLLOUT, 0};
+    const int ready = ::poll(&p, 1, timeout_ms);
+    if (ready > 0) return true;
+    if (ready < 0 && errno != EINTR) return false;
   }
-  return true;
 }
 
 void json_string(std::ostringstream& out, const std::string& text) {
@@ -235,185 +236,340 @@ void Server::accept_main() {
 }
 
 void Server::connection_main(std::shared_ptr<Conn> conn) {
-  std::vector<std::uint8_t> header(kFrameHeaderSize);
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> buf(kReadBuffer);
+  std::size_t end = 0;  // Unparsed bytes are buf[0, end).
+  std::vector<Job> burst;
+  bool framing_lost = false;
   while (conn->open.load(std::memory_order_acquire) &&
          !stopping_.load(std::memory_order_acquire)) {
-    if (!read_exact(conn->fd, header.data(), header.size())) break;
-    FrameHeader fh;
-    const FrameVerdict hv = decode_header(header.data(), header.size(), &fh);
-    if (hv != FrameVerdict::kOk) {
-      // Header-level garbage: the stream has lost framing, so reply with
-      // the typed refusal and close — resynchronizing random bytes is not
-      // possible, crashing on them is not acceptable.
-      stats_.record_malformed();
-      OBS_COUNTER_ADD("serve.malformed", 1);
-      send_error(conn, ErrorCode::kMalformed,
-                 std::string("bad frame header: ") + verdict_name(hv),
-                 false);
-      break;
-    }
-    payload.resize(fh.payload_len);
-    if (fh.payload_len > 0 &&
-        !read_exact(conn->fd, payload.data(), payload.size()))
-      break;
-    const FrameVerdict pv = verify_payload(fh, payload.data(), payload.size());
-    if (pv != FrameVerdict::kOk) {
-      // Framing is still aligned (the length was honored), so the
-      // connection survives a corrupted payload.
-      stats_.record_malformed();
-      OBS_COUNTER_ADD("serve.malformed", 1);
-      send_error(conn, ErrorCode::kMalformed,
-                 std::string("payload rejected: ") + verdict_name(pv), false);
-      continue;
-    }
-    switch (fh.type) {
-      case FrameType::kPing:
-        send_frame(conn, FrameType::kPong, {}, false);
-        break;
-      case FrameType::kShutdown:
-        send_frame(conn, FrameType::kPong, {}, false);
-        request_stop();
-        break;
-      case FrameType::kReload: {
-        std::uint64_t key = 0;
-        if (decode_reload(payload.data(), payload.size(), &key) !=
-            FrameVerdict::kOk) {
-          stats_.record_malformed();
-          send_error(conn, ErrorCode::kMalformed, "bad reload payload",
-                     false);
-          break;
+    const ssize_t n = ::read(conn->fd, buf.data() + end, buf.size() - end);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    end += static_cast<std::size_t>(n);
+
+    // Every complete frame of the burst, parsed in place.
+    std::size_t begin = 0;
+    std::size_t need = 0;  // Size of a frame whose payload is still missing.
+    std::size_t frames = 0;
+    while (end - begin >= kFrameHeaderSize) {
+      FrameHeader fh;
+      const FrameVerdict hv =
+          decode_header(buf.data() + begin, end - begin, &fh);
+      if (hv != FrameVerdict::kOk) {
+        // Header-level garbage: the stream has lost framing, so answer the
+        // queries read ahead of it, reply with the typed refusal and close
+        // — resynchronizing random bytes is not possible, crashing on them
+        // is not acceptable.
+        enqueue_burst(conn, burst);
+        {
+          std::unique_lock<std::mutex> lock(conn->write_mutex);
+          wait_drained(*conn, lock);
         }
-        ReloadReply ack;
-        ack.controller_key = key;
-        ack.ok = engine_.load_controller(key, &ack.message);
-        if (ack.ok) {
-          stats_.record_reload();
-          OBS_COUNTER_ADD("serve.reloads", 1);
-        }
-        send_frame(conn, FrameType::kReloadAck, encode_reload_ack(ack),
-                   false);
-        break;
-      }
-      case FrameType::kQuery: {
-        // Timeline stamps only when the trace sink is armed — the clock
-        // reads stay off the obs-off hot path.
-        const bool timing = obs::trace_events_enabled();
-        const std::uint64_t recv_wall = timing ? obs::wall_us() : 0;
-        QueryRequest query;
-        if (decode_query(payload.data(), payload.size(), fh.version,
-                         &query) != FrameVerdict::kOk) {
-          stats_.record_malformed();
-          OBS_COUNTER_ADD("serve.malformed", 1);
-          send_error(conn, ErrorCode::kMalformed, "bad query payload", true);
-          break;
-        }
-        const std::uint64_t decode_dur =
-            timing ? obs::wall_us() - recv_wall : 0;
-        handle_query(conn, std::move(query), recv_wall, decode_dur);
-        break;
-      }
-      default:
-        // Reply frames arriving at the server are a protocol violation.
         stats_.record_malformed();
-        send_error(conn, ErrorCode::kMalformed, "unexpected frame type",
+        OBS_COUNTER_ADD("serve.malformed", 1);
+        send_error(conn, ErrorCode::kMalformed,
+                   std::string("bad frame header: ") + verdict_name(hv),
                    false);
+        framing_lost = true;
         break;
+      }
+      const std::size_t size = kFrameHeaderSize + fh.payload_len;
+      if (end - begin < size) {
+        need = size;
+        break;
+      }
+      handle_frame(conn, fh, buf.data() + begin + kFrameHeaderSize, burst);
+      begin += size;
+      ++frames;
     }
+    if (framing_lost) break;
+    OBS_HISTOGRAM_OBSERVE("serve.read_frames", burst_bounds(),
+                          static_cast<double>(frames));
+    enqueue_burst(conn, burst);
+
+    // Keep the partial frame at the front, with room for all of it
+    // (decode_header bounds a payload at kMaxPayload).
+    if (begin > 0) {
+      std::memmove(buf.data(), buf.data() + begin, end - begin);
+      end -= begin;
+    }
+    if (need > buf.size()) buf.resize(need);
   }
+  // Every query this connection got into the queue is answered before the
+  // descriptor closes; closing under write_mutex means no worker can write
+  // to a closed (or reused) descriptor.
+  std::unique_lock<std::mutex> lock(conn->write_mutex);
+  wait_drained(*conn, lock);
   conn->open.store(false, std::memory_order_release);
   ::close(conn->fd);
 }
 
-void Server::handle_query(const std::shared_ptr<Conn>& conn,
-                          QueryRequest query, std::uint64_t recv_wall_us,
-                          std::uint64_t decode_dur_us) {
-  stats_.record_request();
-  OBS_COUNTER_ADD("serve.requests", 1);
-  if (stopping_.load(std::memory_order_acquire)) {
-    send_error(conn, ErrorCode::kShuttingDown, "daemon is draining", true);
+void Server::wait_drained(Conn& conn, std::unique_lock<std::mutex>& lock) {
+  conn.drained.wait(lock, [&conn] {
+    return conn.in_flight.load(std::memory_order_acquire) == 0;
+  });
+}
+
+void Server::handle_frame(const std::shared_ptr<Conn>& conn,
+                          const FrameHeader& fh, const std::uint8_t* payload,
+                          std::vector<Job>& burst) {
+  if (fh.type == FrameType::kQuery) {
+    // Timeline stamps only when the trace sink is armed — the clock reads
+    // stay off the obs-off hot path.
+    const bool timing = obs::trace_events_enabled();
+    const std::uint64_t recv_wall = timing ? obs::wall_us() : 0;
+    Job job;
+    if (verify_payload(fh, payload, fh.payload_len) == FrameVerdict::kOk &&
+        decode_query(payload, fh.payload_len, fh.version, &job.query) ==
+            FrameVerdict::kOk) {
+      job.conn = conn;
+      job.recv_wall_us = recv_wall;
+      job.decode_dur_us = timing ? obs::wall_us() - recv_wall : 0;
+      job.enqueue_wall_us = job.recv_wall_us + job.decode_dur_us;
+      burst.push_back(std::move(job));
+      return;
+    }
+  }
+  // Everything below the reader answers itself: the queries read ahead of
+  // this frame enter the queue first, so frame order is kept.
+  enqueue_burst(conn, burst);
+  const FrameVerdict pv = verify_payload(fh, payload, fh.payload_len);
+  if (pv != FrameVerdict::kOk) {
+    // Framing is still aligned (the length was honored), so the
+    // connection survives a corrupted payload.
+    stats_.record_malformed();
+    OBS_COUNTER_ADD("serve.malformed", 1);
+    send_error(conn, ErrorCode::kMalformed,
+               std::string("payload rejected: ") + verdict_name(pv), false);
     return;
   }
-  Job job;
-  job.conn = conn;
-  job.enqueue_us = obs::now_us();
-  job.recv_wall_us = recv_wall_us;
-  job.decode_dur_us = decode_dur_us;
-  job.enqueue_wall_us = recv_wall_us + decode_dur_us;
+  switch (fh.type) {
+    case FrameType::kPing:
+      send_frame(conn, FrameType::kPong, {}, false);
+      break;
+    case FrameType::kShutdown:
+      send_frame(conn, FrameType::kPong, {}, false);
+      request_stop();
+      break;
+    case FrameType::kReload: {
+      std::uint64_t key = 0;
+      if (decode_reload(payload, fh.payload_len, &key) != FrameVerdict::kOk) {
+        stats_.record_malformed();
+        send_error(conn, ErrorCode::kMalformed, "bad reload payload", false);
+        break;
+      }
+      ReloadReply ack;
+      ack.controller_key = key;
+      ack.ok = engine_.load_controller(key, &ack.message);
+      if (ack.ok) {
+        stats_.record_reload();
+        OBS_COUNTER_ADD("serve.reloads", 1);
+      }
+      send_frame(conn, FrameType::kReloadAck, encode_reload_ack(ack), false);
+      break;
+    }
+    case FrameType::kQuery:  // The hash held; the query grammar did not.
+      stats_.record_malformed();
+      OBS_COUNTER_ADD("serve.malformed", 1);
+      send_error(conn, ErrorCode::kMalformed, "bad query payload", true);
+      break;
+    default:
+      // Reply frames arriving at the server are a protocol violation.
+      stats_.record_malformed();
+      send_error(conn, ErrorCode::kMalformed, "unexpected frame type", false);
+      break;
+  }
+}
+
+void Server::enqueue_burst(const std::shared_ptr<Conn>& conn,
+                           std::vector<Job>& burst) {
+  if (burst.empty()) return;
+  for (std::size_t i = 0; i < burst.size(); ++i) stats_.record_request();
+  OBS_COUNTER_ADD("serve.requests", burst.size());
+  const std::uint64_t now = obs::now_us();
   // The effective budget is the tighter of the client's deadline and the
   // server-side cap; 0 on both sides means unbounded.
-  std::uint64_t budget_ms = query.deadline_ms;
-  if (options_.request_timeout_ms > 0 &&
-      (budget_ms == 0 || options_.request_timeout_ms < budget_ms))
-    budget_ms = options_.request_timeout_ms;
-  job.deadline_us = budget_ms > 0 ? job.enqueue_us + budget_ms * 1000 : 0;
-  job.query = std::move(query);
-  {
+  for (Job& job : burst) {
+    std::uint64_t budget_ms = job.query.deadline_ms;
+    if (options_.request_timeout_ms > 0 &&
+        (budget_ms == 0 || options_.request_timeout_ms < budget_ms))
+      budget_ms = options_.request_timeout_ms;
+    job.enqueue_us = now;
+    job.deadline_us = budget_ms > 0 ? now + budget_ms * 1000 : 0;
+  }
+  std::size_t accepted = 0;
+  const bool stopping = stopping_.load(std::memory_order_acquire);
+  if (!stopping) {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (queue_.size() >= options_.queue_depth) {
-      // Backpressure: the queue is the only unbounded-growth risk on the
-      // request path, so it never grows — the reader sheds instead.
+    // Backpressure: the queue is the only unbounded-growth risk on the
+    // request path, so it never grows past its bound — the reader sheds
+    // whatever does not fit.
+    accepted = std::min(burst.size(), options_.queue_depth - queue_.size());
+    for (std::size_t i = 0; i < accepted; ++i) {
+      queue_.push_back(std::move(burst[i]));
+      stats_.queue_enter();
+    }
+    conn->in_flight.fetch_add(accepted, std::memory_order_relaxed);
+    OBS_GAUGE_SET("serve.queue_depth", queue_.size());
+  }
+  if (accepted == 1) {
+    queue_cv_.notify_one();
+  } else if (accepted > 1) {
+    queue_cv_.notify_all();
+  }
+  // Refusals go out after the lock is released: a slow client's full
+  // socket buffer must never hold up the workers' dequeue.
+  for (std::size_t i = accepted; i < burst.size(); ++i) {
+    if (stopping) {
+      send_error(conn, ErrorCode::kShuttingDown, "daemon is draining", true);
+    } else {
       stats_.record_shed();
       OBS_COUNTER_ADD("serve.shed", 1);
       send_error(conn, ErrorCode::kOverloaded, "request queue full", true);
-      return;
     }
-    queue_.push_back(std::move(job));
-    stats_.queue_enter();
-    OBS_GAUGE_SET("serve.queue_depth", queue_.size());
   }
-  queue_cv_.notify_one();
+  burst.clear();
 }
 
 void Server::worker_main() {
+  std::vector<Job> batch;
+  // Outboxes keep their buffers across batches; [0, used) hold this one.
+  std::vector<Outbox> boxes;
   for (;;) {
-    Job job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
         return !queue_.empty() || stopping_.load(std::memory_order_acquire);
       });
       if (queue_.empty()) return;  // Stopping and drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      stats_.queue_leave();
+      // An even share of the queue, so the other workers get theirs.
+      const std::size_t share = std::min(
+          kMaxBatch,
+          (queue_.size() + options_.workers - 1) / options_.workers);
+      for (std::size_t i = 0; i < share; ++i) {
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+        stats_.queue_leave();
+      }
     }
-    if (stopping_.load(std::memory_order_acquire)) {
-      send_error(job.conn, ErrorCode::kShuttingDown, "daemon is draining",
-                 true);
-      continue;
+    OBS_HISTOGRAM_OBSERVE("serve.batch_jobs", burst_bounds(),
+                          static_cast<double>(batch.size()));
+    std::size_t used = 0;
+    for (Job& job : batch) {
+      std::size_t b = 0;
+      while (b < used && boxes[b].conn != job.conn) ++b;
+      if (b == used) {
+        if (used == boxes.size()) boxes.emplace_back();
+        boxes[used++].conn = job.conn;
+      }
+      Outbox& box = boxes[b];
+      ++box.jobs;
+      if (stopping_.load(std::memory_order_acquire)) {
+        append_error(box.bytes, ErrorCode::kShuttingDown,
+                     "daemon is draining", true);
+        continue;
+      }
+      process_job(job, box);
     }
-    process_job(std::move(job));
+    batch.clear();
+    flush_outboxes(boxes, used);
   }
 }
 
-void Server::process_job(Job job) {
+void Server::flush_outboxes(std::vector<Outbox>& boxes, std::size_t used) {
+  // Without blocking first: a client that has stopped reading must not
+  // hold up the replies its batch-mates already have. Then, in batch
+  // order, the boxes whose socket was full.
+  for (const bool wait : {false, true})
+    for (std::size_t b = 0; b < used; ++b)
+      if (boxes[b].conn) flush_outbox(boxes[b], wait);
+}
+
+void Server::flush_outbox(Outbox& box, bool wait) {
+  // Served latency (status.json, the SLO, serve.request_ms) ends as the
+  // outbox goes to send(), so it covers the batch-mates decided after a
+  // reply and any delay fault; it is booked before the bytes leave, so a
+  // client holding its reply also finds it counted.
+  if (!wait) {
+    const std::uint64_t now = obs::now_us();
+    for (const Decided& d : box.decided) {
+      const std::uint64_t latency_us = now - d.enqueue_us;
+      stats_.record_decision(latency_us, d.fallback_code);
+      OBS_HISTOGRAM_OBSERVE("serve.request_ms", latency_bounds_ms(),
+                            static_cast<double>(latency_us) / 1000.0);
+    }
+    box.decided.clear();
+  }
+  Conn& conn = *box.conn;
+  {
+    std::lock_guard<std::mutex> lock(conn.write_mutex);
+    const bool written = write_locked(conn, box.bytes, wait);
+    box.bytes.clear();
+    if (!written) return;
+    if (conn.in_flight.fetch_sub(box.jobs, std::memory_order_acq_rel) ==
+        box.jobs)
+      conn.drained.notify_all();
+  }
+  if (!box.traced.empty()) {
+    const std::uint64_t write_end_wall = obs::wall_us();
+    // All spans land on this worker thread's track with wall-clock
+    // timestamps, so the client's request span (a different process,
+    // same axis) encloses them once the two dumps are merged.
+    for (const TracedReply& t : box.traced) {
+      obs::record_span_event("serve.req", t.recv_wall_us,
+                             write_end_wall - t.recv_wall_us, t.trace_id);
+      obs::record_flow_event("serve.request", t.trace_id, /*start=*/false,
+                             t.dequeue_wall_us);
+      obs::record_span_event("serve.req.decode", t.recv_wall_us,
+                             t.decode_dur_us, t.trace_id);
+      obs::record_span_event("serve.req.queue_wait", t.enqueue_wall_us,
+                             t.dequeue_wall_us - t.enqueue_wall_us,
+                             t.trace_id);
+      obs::record_span_event(t.stage, t.dequeue_wall_us,
+                             t.stage_end_wall_us - t.dequeue_wall_us,
+                             t.trace_id);
+      if (t.encode_end_wall_us == 0) continue;
+      obs::record_span_event("serve.req.encode", t.stage_end_wall_us,
+                             t.encode_end_wall_us - t.stage_end_wall_us,
+                             t.trace_id);
+      obs::record_span_event("serve.req.write", t.encode_end_wall_us,
+                             write_end_wall - t.encode_end_wall_us,
+                             t.trace_id);
+    }
+    box.traced.clear();
+  }
+  box.conn.reset();
+  box.jobs = 0;
+}
+
+void Server::process_job(Job& job, Outbox& box) {
   const std::uint64_t now = obs::now_us();
   // Traced requests book a wall-clock stage timeline: every clock read
   // below is gated on this so untraced traffic pays nothing extra.
   const bool traced =
       job.query.trace.active() && obs::trace_events_enabled();
-  const std::uint64_t trace_id = job.query.trace.trace_id;
-  const std::uint64_t dequeue_wall = traced ? obs::wall_us() : 0;
-  // Deadline re-check on dequeue: a request that died waiting in the queue
-  // gets the typed timeout, never a late decision the node cannot use.
+  TracedReply stamps;
+  if (traced) {
+    stamps.trace_id = job.query.trace.trace_id;
+    stamps.recv_wall_us = job.recv_wall_us;
+    stamps.decode_dur_us = job.decode_dur_us;
+    stamps.enqueue_wall_us = job.enqueue_wall_us;
+    stamps.dequeue_wall_us = obs::wall_us();
+  }
+  // Deadline re-check when the job's turn comes: a request that died
+  // waiting gets the typed timeout, never a late decision the node cannot
+  // use.
   if (job.deadline_us > 0 && now >= job.deadline_us) {
     stats_.record_timeout();
     OBS_COUNTER_ADD("serve.timeouts", 1);
-    send_error(job.conn, ErrorCode::kTimeout, "deadline expired in queue",
-               true);
+    append_error(box.bytes, ErrorCode::kTimeout, "deadline expired in queue",
+                 true);
     if (traced) {
       // Even a timed-out request leaves its trace: the whole server-side
       // story was the queue wait.
-      obs::record_span_event("serve.req", job.recv_wall_us,
-                             obs::wall_us() - job.recv_wall_us, trace_id);
-      obs::record_flow_event("serve.request", trace_id, /*start=*/false,
-                             dequeue_wall);
-      obs::record_span_event("serve.req.decode", job.recv_wall_us,
-                             job.decode_dur_us, trace_id);
-      obs::record_span_event("serve.req.queue_wait", job.enqueue_wall_us,
-                             dequeue_wall - job.enqueue_wall_us, trace_id);
-      obs::record_span_event("serve.req.timeout", dequeue_wall, 0, trace_id);
+      stamps.stage = "serve.req.timeout";
+      stamps.stage_end_wall_us = stamps.dequeue_wall_us;
+      box.traced.push_back(std::move(stamps));
     }
     return;
   }
@@ -429,23 +585,15 @@ void Server::process_job(Job job) {
   }
   const std::uint64_t engine_end_wall = traced ? obs::wall_us() : 0;
   if (!outcome.ok) {
-    send_error(job.conn, outcome.error.code, outcome.error.message, true);
+    append_error(box.bytes, outcome.error.code, outcome.error.message, true);
     if (traced) {
-      obs::record_span_event("serve.req", job.recv_wall_us,
-                             obs::wall_us() - job.recv_wall_us, trace_id);
-      obs::record_flow_event("serve.request", trace_id, /*start=*/false,
-                             dequeue_wall);
-      obs::record_span_event("serve.req.decode", job.recv_wall_us,
-                             job.decode_dur_us, trace_id);
-      obs::record_span_event("serve.req.queue_wait", job.enqueue_wall_us,
-                             dequeue_wall - job.enqueue_wall_us, trace_id);
-      obs::record_span_event("serve.req.engine.error", dequeue_wall,
-                             engine_end_wall - dequeue_wall, trace_id);
+      stamps.stage = "serve.req.engine.error";
+      stamps.stage_end_wall_us = engine_end_wall;
+      box.traced.push_back(std::move(stamps));
     }
     return;
   }
-  const std::uint64_t latency_us = obs::now_us() - job.enqueue_us;
-  stats_.record_decision(latency_us, outcome.reply.fallback_code);
+  box.decided.push_back({job.enqueue_us, outcome.reply.fallback_code});
   if (outcome.reply.used_fallback) OBS_COUNTER_ADD("serve.fallbacks", 1);
   // Per-rung counters name which step of the degradation ladder answered.
   switch (outcome.reply.fallback_code) {
@@ -466,39 +614,25 @@ void Server::process_job(Job job) {
       break;
   }
   OBS_COUNTER_ADD("serve.decisions", 1);
-  OBS_HISTOGRAM_OBSERVE("serve.request_ms", latency_bounds_ms(),
-                        static_cast<double>(latency_us) / 1000.0);
   const std::vector<std::uint8_t> reply_payload =
       encode_decision(outcome.reply);
   const std::uint64_t encode_end_wall = traced ? obs::wall_us() : 0;
-  send_frame(job.conn, FrameType::kDecision, reply_payload, true);
+  // Framing, the fault hook and the send all count as the write stage.
+  append_frame(box.bytes, FrameType::kDecision, reply_payload, true);
   if (traced) {
-    const std::uint64_t write_end_wall = obs::wall_us();
-    // All spans land on this worker thread's track with wall-clock
-    // timestamps, so the client's request span (a different process, same
-    // axis) encloses them once the two dumps are merged.
-    obs::record_span_event("serve.req", job.recv_wall_us,
-                           write_end_wall - job.recv_wall_us, trace_id);
-    obs::record_flow_event("serve.request", trace_id, /*start=*/false,
-                           dequeue_wall);
-    obs::record_span_event("serve.req.decode", job.recv_wall_us,
-                           job.decode_dur_us, trace_id);
-    obs::record_span_event("serve.req.queue_wait", job.enqueue_wall_us,
-                           dequeue_wall - job.enqueue_wall_us, trace_id);
-    obs::record_span_event(
-        std::string("serve.req.engine.") + rung_name(outcome.reply.fallback_code),
-        dequeue_wall, engine_end_wall - dequeue_wall, trace_id);
-    obs::record_span_event("serve.req.encode", engine_end_wall,
-                           encode_end_wall - engine_end_wall, trace_id);
-    obs::record_span_event("serve.req.write", encode_end_wall,
-                           write_end_wall - encode_end_wall, trace_id);
+    stamps.stage = std::string("serve.req.engine.") +
+                   rung_name(outcome.reply.fallback_code);
+    stamps.stage_end_wall_us = engine_end_wall;
+    stamps.encode_end_wall_us = encode_end_wall;
+    box.traced.push_back(std::move(stamps));
   }
 }
 
-void Server::send_frame(const std::shared_ptr<Conn>& conn, FrameType type,
-                        const std::vector<std::uint8_t>& payload,
-                        bool query_reply) {
-  std::vector<std::uint8_t> frame = encode_frame(type, payload);
+void Server::append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                          const std::vector<std::uint8_t>& payload,
+                          bool query_reply) {
+  const std::vector<std::uint8_t> frame = encode_frame(type, payload);
+  bool corrupt = false;
   if (query_reply && options_.faults.any()) {
     const std::uint64_t ordinal =
         fault_ordinal_.fetch_add(1, std::memory_order_relaxed);
@@ -515,27 +649,96 @@ void Server::send_frame(const std::shared_ptr<Conn>& conn, FrameType type,
         break;
       case fault::ServeFault::kCorrupt:
         stats_.record_fault_injected();
-        // Flip one byte past the header so the client's payload-hash check
-        // trips (an empty payload corrupts the hash field itself).
-        frame[frame.size() > kFrameHeaderSize ? kFrameHeaderSize : 12] ^=
-            0xFF;
+        corrupt = true;
         break;
     }
   }
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  if (!conn->open.load(std::memory_order_acquire)) return;
-  if (!write_all(conn->fd, frame.data(), frame.size()))
-    conn->open.store(false, std::memory_order_release);
+  const std::size_t at = out.size();
+  out.insert(out.end(), frame.begin(), frame.end());
+  // Flip one byte past the header so the client's payload-hash check trips
+  // (an empty payload corrupts the hash field itself).
+  if (corrupt)
+    out[at + (frame.size() > kFrameHeaderSize ? kFrameHeaderSize : 12)] ^=
+        0xFF;
 }
 
-void Server::send_error(const std::shared_ptr<Conn>& conn, ErrorCode code,
-                        const std::string& message, bool query_reply) {
+void Server::append_error(std::vector<std::uint8_t>& out, ErrorCode code,
+                          const std::string& message, bool query_reply) {
   if (code != ErrorCode::kMalformed) {
     stats_.record_error();
     OBS_COUNTER_ADD("serve.errors", 1);
   }
-  send_frame(conn, FrameType::kError, encode_error({code, message}),
-             query_reply);
+  append_frame(out, FrameType::kError, encode_error({code, message}),
+               query_reply);
+}
+
+void Server::send_frame(const std::shared_ptr<Conn>& conn, FrameType type,
+                        const std::vector<std::uint8_t>& payload,
+                        bool query_reply) {
+  std::vector<std::uint8_t> bytes;
+  append_frame(bytes, type, payload, query_reply);
+  write_to(*conn, bytes);
+}
+
+void Server::send_error(const std::shared_ptr<Conn>& conn, ErrorCode code,
+                        const std::string& message, bool query_reply) {
+  std::vector<std::uint8_t> bytes;
+  append_error(bytes, code, message, query_reply);
+  write_to(*conn, bytes);
+}
+
+bool Server::write_locked(Conn& conn, const std::vector<std::uint8_t>& bytes,
+                          bool wait) {
+  if (!conn.open.load(std::memory_order_acquire)) {
+    conn.unsent.clear();
+    return true;
+  }
+  // Bytes an earlier write left behind go out first, so frames never
+  // interleave.
+  if (!conn.unsent.empty())
+    conn.unsent.insert(conn.unsent.end(), bytes.begin(), bytes.end());
+  const std::vector<std::uint8_t>& out =
+      conn.unsent.empty() ? bytes : conn.unsent;
+  std::uint64_t give_up_us = 0;
+  std::size_t sent = 0;
+  while (sent < out.size()) {
+    // MSG_NOSIGNAL so a vanished client cannot SIGPIPE the daemon.
+    const ssize_t n = ::send(conn.fd, out.data() + sent, out.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!wait) {
+        if (&out == &conn.unsent)
+          conn.unsent.erase(conn.unsent.begin(),
+                            conn.unsent.begin() +
+                                static_cast<std::ptrdiff_t>(sent));
+        else
+          conn.unsent.assign(out.begin() + static_cast<std::ptrdiff_t>(sent),
+                             out.end());
+        return false;
+      }
+      if (give_up_us == 0 && options_.request_timeout_ms > 0)
+        give_up_us = obs::now_us() + options_.request_timeout_ms * 1000;
+      if (wait_writable(conn.fd, give_up_us)) continue;
+      // The client has not read for a whole request timeout. Shutting the
+      // socket down also ends its reader with EOF.
+      OBS_COUNTER_ADD("serve.write_timeouts", 1);
+      ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    conn.open.store(false, std::memory_order_release);
+    break;
+  }
+  conn.unsent.clear();
+  return true;
+}
+
+void Server::write_to(Conn& conn, const std::vector<std::uint8_t>& bytes) {
+  std::lock_guard<std::mutex> lock(conn.write_mutex);
+  write_locked(conn, bytes, true);
 }
 
 std::string Server::status_json(const std::string& state) const {
@@ -653,14 +856,36 @@ void Server::write_status(const std::string& state) const {
   if (options_.status_path.empty()) return;
   const std::string tmp = options_.status_path + ".tmp";
   const std::string text = status_json(state);
+  // Every step is checked: a status file is either the complete new
+  // snapshot or the previous one, never a short write, and a failed
+  // attempt leaves no stale .tmp behind.
+  const char* failed = nullptr;
+  int error = 0;
+  const auto fail = [&](const char* step) {
+    if (failed != nullptr) return;
+    failed = step;
+    error = errno;
+  };
   FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) return;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  std::fflush(file);
-  ::fsync(::fileno(file));
-  std::fclose(file);
-  if (ok) std::rename(tmp.c_str(), options_.status_path.c_str());
+  if (file == nullptr) {
+    fail("fopen");
+  } else {
+    if (std::fwrite(text.data(), 1, text.size(), file) != text.size())
+      fail("fwrite");
+    else if (std::fflush(file) != 0)
+      fail("fflush");
+    else if (::fsync(::fileno(file)) != 0)
+      fail("fsync");
+    if (std::fclose(file) != 0) fail("fclose");
+    if (failed == nullptr &&
+        std::rename(tmp.c_str(), options_.status_path.c_str()) != 0)
+      fail("rename");
+    if (failed != nullptr) std::remove(tmp.c_str());
+  }
+  if (failed != nullptr && !status_warned_.exchange(true))
+    std::fprintf(stderr,
+                 "solsched-serve: writing status %s failed at %s: %s\n",
+                 options_.status_path.c_str(), failed, std::strerror(error));
 }
 
 void Server::status_main() {

@@ -1,16 +1,22 @@
 // End-to-end daemon drills over real AF_UNIX sockets: liveness, decision
 // parity through the wire, the malformed-frame flood, overload shedding,
 // the corrupt-controller degradation drill, hot-reload under load, client
-// backoff across a daemon restart, and the status file contract.
+// backoff across a daemon restart, the status file contract, and pipelined
+// framing: bursts sent whole, dribbled or split, with a corrupt header, a
+// bad payload or a reload inside, shed under overload, or traced.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -116,6 +122,152 @@ int raw_connect(const std::string& path) {
     return -1;
   }
   return fd;
+}
+
+/// A raw connection that pipelines frames and reads the replies back one
+/// frame at a time (5 s receive timeout, so a lost reply fails, not hangs).
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) : fd_(raw_connect(path)) {
+    const timeval timeout{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~RawConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  bool ok() const { return fd_ >= 0; }
+
+  void send(const std::uint8_t* data, std::size_t size) {
+    while (size > 0) {
+      const ssize_t n = ::send(fd_, data, size, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed";
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    }
+  }
+  void send(const std::vector<std::uint8_t>& bytes) {
+    send(bytes.data(), bytes.size());
+  }
+
+  /// The next whole reply frame; false when the stream ended first.
+  bool next(FrameHeader* header, std::vector<std::uint8_t>* frame) {
+    for (;;) {
+      if (buf_.size() >= kFrameHeaderSize &&
+          decode_header(buf_.data(), buf_.size(), header) ==
+              FrameVerdict::kOk &&
+          buf_.size() >= kFrameHeaderSize + header->payload_len) {
+        const auto end = buf_.begin() + static_cast<std::ptrdiff_t>(
+                                            kFrameHeaderSize +
+                                            header->payload_len);
+        frame->assign(buf_.begin(), end);
+        buf_.erase(buf_.begin(), end);
+        return true;
+      }
+      std::uint8_t chunk[4096];
+      const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) {
+        // EOF, or a reset because the server closed with input unread.
+        closed_ = n == 0 || errno == ECONNRESET;
+        return false;
+      }
+      buf_.insert(buf_.end(), chunk, chunk + n);
+    }
+  }
+
+  /// True once next() met the server's close (not a timeout).
+  bool closed_by_server() const { return closed_; }
+
+ private:
+  int fd_ = -1;
+  std::vector<std::uint8_t> buf_;
+  bool closed_ = false;
+};
+
+/// n distinct valid queries (period, voltages, DMR and solar vary).
+std::vector<QueryRequest> varied_queries(std::size_t n) {
+  std::vector<QueryRequest> queries;
+  for (std::size_t i = 0; i < n; ++i) {
+    QueryRequest q = valid_query();
+    q.period = static_cast<std::uint32_t>(i % 12);
+    q.accumulated_dmr = 0.01 * static_cast<double>(i);
+    for (std::size_t h = 0; h < q.cap_voltages.size(); ++h)
+      q.cap_voltages[h] = 1.8 + 0.07 * static_cast<double>((i + 3 * h) % 17);
+    for (double& w : q.last_period_solar_w)
+      w = 0.02 * static_cast<double>(i % 5);
+    queries.push_back(std::move(q));
+  }
+  return queries;
+}
+
+std::vector<std::uint8_t> query_frame(const QueryRequest& q) {
+  return encode_frame(FrameType::kQuery, encode_query(q),
+                      query_wire_version(q));
+}
+
+/// The decision frames DecisionEngine::decide gives `queries`, as sorted
+/// byte strings: the server's replies, sorted, must equal them.
+std::vector<std::string> expected_decisions(
+    const TestDirs& d, const std::vector<QueryRequest>& queries) {
+  DecisionEngine engine({d.cache, 0});
+  engine.load_all();
+  std::vector<std::string> frames;
+  for (const QueryRequest& q : queries) {
+    const DecisionEngine::Outcome out =
+        engine.decide(q, ~std::uint64_t{0});
+    EXPECT_TRUE(out.ok) << out.error.message;
+    const std::vector<std::uint8_t> frame =
+        encode_frame(FrameType::kDecision, encode_decision(out.reply));
+    frames.emplace_back(frame.begin(), frame.end());
+  }
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+/// Reads n replies; the decisions come back sorted, the rest as they came.
+struct Replies {
+  std::vector<std::string> decisions;  ///< Whole frames as byte strings.
+  std::vector<FrameHeader> others;
+  std::vector<std::vector<std::uint8_t>> other_frames;
+};
+Replies read_replies(RawConn& conn, std::size_t n) {
+  Replies r;
+  for (std::size_t i = 0; i < n; ++i) {
+    FrameHeader header;
+    std::vector<std::uint8_t> frame;
+    if (!conn.next(&header, &frame)) {
+      ADD_FAILURE() << "stream ended after " << i << " of " << n << " replies";
+      break;
+    }
+    if (header.type == FrameType::kDecision) {
+      r.decisions.emplace_back(frame.begin(), frame.end());
+    } else {
+      r.others.push_back(header);
+      r.other_frames.push_back(std::move(frame));
+    }
+  }
+  std::sort(r.decisions.begin(), r.decisions.end());
+  return r;
+}
+
+ErrorCode error_code_of(const std::vector<std::uint8_t>& frame) {
+  ErrorReply error;
+  EXPECT_EQ(decode_error(frame.data() + kFrameHeaderSize,
+                         frame.size() - kFrameHeaderSize, &error),
+            FrameVerdict::kOk);
+  return error.code;
+}
+
+std::vector<std::uint8_t> concat_frames(const std::vector<QueryRequest>& qs,
+                                        std::size_t from, std::size_t to) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = from; i < to; ++i) {
+    const std::vector<std::uint8_t> f = query_frame(qs[i]);
+    bytes.insert(bytes.end(), f.begin(), f.end());
+  }
+  return bytes;
 }
 
 TEST(ServeEndToEnd, PingQueryAndDecisionParityThroughTheWire) {
@@ -431,6 +583,351 @@ TEST(ServeEndToEnd, ShutdownFrameUnblocksWaitAndStatusFileIsParseable) {
   // A stopped snapshot never goes stale, no matter the clock.
   EXPECT_FALSE(obs::analysis::serve_status_is_stale(
       status, status.wall_ms + 3600 * 1000, 5000));
+}
+
+TEST(ServeEndToEnd, StatusWriteFailureWarnsOnceAndLeavesNoTempFile) {
+  const TestDirs d = fresh_dirs("serve_status_fail");
+  Server::Options options = server_options(d);
+  // A directory where the status file should be: every rename fails.
+  options.status_path = d.root + "/status_dir";
+  std::filesystem::create_directories(options.status_path);
+  ::testing::internal::CaptureStderr();
+  {
+    Server server(options);
+    server.start();  // Writes "running"...
+    server.stop();   // ...and "stopped": two failed writes.
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(std::filesystem::exists(options.status_path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(options.status_path));
+  const std::string warning = "writing status " + options.status_path;
+  const std::size_t first = err.find(warning);
+  EXPECT_NE(first, std::string::npos) << err;
+  EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
+}
+
+TEST(ServeEndToEnd, PipelinedFramingAnswersEveryQueryByteIdentically) {
+  const TestDirs d = fresh_dirs("serve_pipelined");
+  Server::Options options = server_options(d);
+  options.queue_depth = 128;  // A whole burst fits: nothing is shed.
+  Server server(options);
+  server.start();
+  const std::vector<QueryRequest> queries = varied_queries(64);
+  const auto expected = expected_decisions(d, queries);
+  const std::vector<std::uint8_t> burst =
+      concat_frames(queries, 0, queries.size());
+
+  {  // All 64 frames in one send().
+    RawConn conn(d.socket);
+    ASSERT_TRUE(conn.ok());
+    conn.send(burst);
+    const Replies r = read_replies(conn, queries.size());
+    EXPECT_TRUE(r.others.empty());
+    EXPECT_EQ(r.decisions, expected);
+  }
+  {  // The same bytes dribbled one at a time.
+    RawConn conn(d.socket);
+    ASSERT_TRUE(conn.ok());
+    for (std::size_t i = 0; i < burst.size(); ++i) conn.send(&burst[i], 1);
+    const Replies r = read_replies(conn, queries.size());
+    EXPECT_TRUE(r.others.empty());
+    EXPECT_EQ(r.decisions, expected);
+  }
+  {  // Every frame cut mid-header and mid-payload, the pieces sent apart.
+    std::vector<std::size_t> cuts;
+    std::size_t start = 0;
+    for (const QueryRequest& q : queries) {
+      const std::size_t size = query_frame(q).size();
+      cuts.push_back(start + 7);
+      cuts.push_back(start + kFrameHeaderSize + (size - kFrameHeaderSize) / 2);
+      start += size;
+    }
+    cuts.push_back(burst.size());
+    RawConn conn(d.socket);
+    ASSERT_TRUE(conn.ok());
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+      conn.send(burst.data() + from, cut - from);
+      from = cut;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const Replies r = read_replies(conn, queries.size());
+    EXPECT_TRUE(r.others.empty());
+    EXPECT_EQ(r.decisions, expected);
+  }
+  EXPECT_EQ(server.stats().decisions, 3 * queries.size());
+  EXPECT_EQ(server.stats().shed, 0u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, FrameLargerThanTheReceiveBufferIsReadWhole) {
+  const TestDirs d = fresh_dirs("serve_big_frame");
+  Server server(server_options(d));
+  server.start();
+  // A 200 KB ping payload, well past the reader's initial 64 KiB buffer,
+  // between two queries.
+  const std::vector<QueryRequest> queries = varied_queries(2);
+  std::vector<std::uint8_t> burst = query_frame(queries[0]);
+  const std::vector<std::uint8_t> ping =
+      encode_frame(FrameType::kPing, std::vector<std::uint8_t>(200000, 7));
+  burst.insert(burst.end(), ping.begin(), ping.end());
+  const std::vector<std::uint8_t> tail = query_frame(queries[1]);
+  burst.insert(burst.end(), tail.begin(), tail.end());
+
+  RawConn conn(d.socket);
+  ASSERT_TRUE(conn.ok());
+  conn.send(burst);
+  const Replies r = read_replies(conn, 3);
+  EXPECT_EQ(r.decisions, expected_decisions(d, queries));
+  ASSERT_EQ(r.others.size(), 1u);
+  EXPECT_EQ(r.others[0].type, FrameType::kPong);
+  EXPECT_EQ(server.stats().malformed, 0u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, CorruptHeaderMidBurstAnswersEarlierQueriesThenCloses) {
+  const TestDirs d = fresh_dirs("serve_burst_header");
+  Server::Options options = server_options(d);
+  options.queue_depth = 64;
+  Server server(options);
+  server.start();
+  const std::vector<QueryRequest> queries = varied_queries(20);
+  std::vector<std::uint8_t> burst = concat_frames(queries, 0, 10);
+  burst.insert(burst.end(), kFrameHeaderSize, 0xAB);  // Bad magic.
+  const std::vector<std::uint8_t> tail = concat_frames(queries, 10, 20);
+  burst.insert(burst.end(), tail.begin(), tail.end());
+
+  RawConn conn(d.socket);
+  ASSERT_TRUE(conn.ok());
+  conn.send(burst);
+  // The ten queries ahead of the garbage are answered first...
+  const Replies r = read_replies(conn, 10);
+  EXPECT_TRUE(r.others.empty());
+  EXPECT_EQ(r.decisions,
+            expected_decisions(d, {queries.begin(), queries.begin() + 10}));
+  // ...then one typed refusal, then the server closes the connection.
+  FrameHeader header;
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(conn.next(&header, &frame));
+  ASSERT_EQ(header.type, FrameType::kError);
+  EXPECT_EQ(error_code_of(frame), ErrorCode::kMalformed);
+  EXPECT_FALSE(conn.next(&header, &frame));
+  EXPECT_TRUE(conn.closed_by_server());
+  EXPECT_EQ(server.stats().decisions, 10u);
+  EXPECT_EQ(server.stats().malformed, 1u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, BadPayloadMidBurstIsRefusedAndTheStreamContinues) {
+  const TestDirs d = fresh_dirs("serve_burst_payload");
+  Server::Options options = server_options(d);
+  options.queue_depth = 64;
+  Server server(options);
+  server.start();
+  const std::vector<QueryRequest> queries = varied_queries(20);
+  std::vector<std::uint8_t> burst = concat_frames(queries, 0, 10);
+  std::vector<std::uint8_t> damaged = query_frame(valid_query());
+  damaged[kFrameHeaderSize + 3] ^= 0xFF;  // Fails the payload hash.
+  burst.insert(burst.end(), damaged.begin(), damaged.end());
+  const std::vector<std::uint8_t> tail = concat_frames(queries, 10, 20);
+  burst.insert(burst.end(), tail.begin(), tail.end());
+
+  RawConn conn(d.socket);
+  ASSERT_TRUE(conn.ok());
+  conn.send(burst);
+  const Replies r = read_replies(conn, 21);
+  EXPECT_EQ(r.decisions, expected_decisions(d, queries));
+  ASSERT_EQ(r.others.size(), 1u);
+  EXPECT_EQ(r.others[0].type, FrameType::kError);
+  EXPECT_EQ(error_code_of(r.other_frames[0]), ErrorCode::kMalformed);
+
+  // The stream kept its framing: a ping on it is still answered.
+  conn.send(encode_frame(FrameType::kPing, {}));
+  FrameHeader header;
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(conn.next(&header, &frame));
+  EXPECT_EQ(header.type, FrameType::kPong);
+  EXPECT_EQ(server.stats().malformed, 1u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, ReloadBetweenPipelinedQueriesIsAcknowledged) {
+  const TestDirs d = fresh_dirs("serve_burst_reload");
+  Server::Options options = server_options(d);
+  options.queue_depth = 64;
+  Server server(options);
+  server.start();
+  const std::vector<QueryRequest> queries = varied_queries(20);
+  std::vector<std::uint8_t> burst = concat_frames(queries, 0, 10);
+  const std::vector<std::uint8_t> reload =
+      encode_frame(FrameType::kReload, encode_reload(kKey));
+  burst.insert(burst.end(), reload.begin(), reload.end());
+  const std::vector<std::uint8_t> tail = concat_frames(queries, 10, 20);
+  burst.insert(burst.end(), tail.begin(), tail.end());
+
+  RawConn conn(d.socket);
+  ASSERT_TRUE(conn.ok());
+  conn.send(burst);
+  const Replies r = read_replies(conn, 21);
+  EXPECT_EQ(r.decisions, expected_decisions(d, queries));
+  ASSERT_EQ(r.others.size(), 1u);
+  ASSERT_EQ(r.others[0].type, FrameType::kReloadAck);
+  ReloadReply ack;
+  ASSERT_EQ(decode_reload_ack(r.other_frames[0].data() + kFrameHeaderSize,
+                              r.other_frames[0].size() - kFrameHeaderSize,
+                              &ack),
+            FrameVerdict::kOk);
+  EXPECT_TRUE(ack.ok) << ack.message;
+  EXPECT_EQ(ack.controller_key, kKey);
+  EXPECT_EQ(server.stats().reloads, 1u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, OverloadedBurstAccountsForEveryQuery) {
+  const TestDirs d = fresh_dirs("serve_burst_overload");
+  Server::Options options = server_options(d);
+  options.workers = 2;
+  options.queue_depth = 4;
+  Server server(options);
+  server.start();
+  const std::vector<QueryRequest> queries = varied_queries(64);
+  auto expected = expected_decisions(d, queries);
+
+  RawConn conn(d.socket);
+  ASSERT_TRUE(conn.ok());
+  conn.send(concat_frames(queries, 0, queries.size()));
+  const Replies r = read_replies(conn, queries.size());
+  // Every shed reply is the typed overload refusal...
+  for (std::size_t i = 0; i < r.others.size(); ++i) {
+    EXPECT_EQ(r.others[i].type, FrameType::kError);
+    EXPECT_EQ(error_code_of(r.other_frames[i]), ErrorCode::kOverloaded);
+  }
+  // ...and every decision is one of the expected ones, each at most once.
+  for (const auto& decision : r.decisions) {
+    const auto it = std::find(expected.begin(), expected.end(), decision);
+    ASSERT_NE(it, expected.end());
+    expected.erase(it);
+  }
+  const ServeStats::Snapshot s = server.stats();
+  EXPECT_EQ(r.decisions.size() + r.others.size(), queries.size());
+  EXPECT_EQ(s.decisions, r.decisions.size());
+  EXPECT_EQ(s.shed, r.others.size());
+  EXPECT_EQ(s.decisions + s.shed, queries.size());
+  EXPECT_GT(s.shed, 0u);
+  EXPECT_LE(s.queue_peak, 4u);
+  server.stop();
+}
+
+TEST(ServeEndToEnd, ClientThatStopsReadingCannotStallOtherClients) {
+  const TestDirs d = fresh_dirs("serve_stalled_reader");
+  Server::Options options = server_options(d);
+  options.workers = 1;  // Its batches mix both clients' jobs.
+  // Deep enough that nothing is shed: only the worker writes to the
+  // stalled client, so a blocking write would stall every client.
+  options.queue_depth = 4096;
+  options.request_timeout_ms = 300;
+  Server server(options);
+  server.start();
+
+  // The stalled client pipelines queries and never reads a reply, so the
+  // server's socket buffer towards it fills up. The server must drop it
+  // after a request timeout; if it blocked instead, this client's own send
+  // would hit its 5 s timeout.
+  const int stalled = raw_connect(d.socket);
+  ASSERT_GE(stalled, 0);
+  const timeval send_timeout{5, 0};
+  ::setsockopt(stalled, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
+  const std::vector<std::uint8_t> frame = query_frame(valid_query());
+  std::atomic<std::size_t> stalled_sent{0};
+  std::atomic<int> stalled_errno{0};
+  std::thread stalled_thread([&] {
+    for (std::size_t i = 0; i < 100000; ++i) {
+      if (::send(stalled, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(frame.size())) {
+        stalled_errno.store(errno);
+        return;
+      }
+      stalled_sent.fetch_add(1);
+    }
+  });
+  while (stalled_sent.load() < 2000 && stalled_errno.load() == 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // Meanwhile a well-behaved client gets every decision, byte-identical.
+  DecisionEngine engine({d.cache, 0});
+  engine.load_all();
+  const std::vector<QueryRequest> queries = varied_queries(20);
+  ServeClient client(client_options(d, 4));
+  const auto start = std::chrono::steady_clock::now();
+  for (const QueryRequest& q : queries) {
+    DecisionReply reply;
+    ASSERT_EQ(client.query(q, &reply), ServeClient::Result::kOk)
+        << client.last_error().message;
+    EXPECT_EQ(encode_decision(reply),
+              encode_decision(engine.decide(q, ~std::uint64_t{0}).reply));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(4));
+
+  stalled_thread.join();
+  ::close(stalled);
+  // The stalled client was disconnected, not left blocking its own sends.
+  EXPECT_TRUE(stalled_errno.load() == EPIPE ||
+              stalled_errno.load() == ECONNRESET)
+      << "stalled client's send ended with errno " << stalled_errno.load()
+      << " after " << stalled_sent.load() << " frames";
+  server.stop();
+}
+
+TEST(ServeEndToEnd, TracedQueryInsideABatchNestsInTheClientSpan) {
+  const TestDirs d = fresh_dirs("serve_burst_traced");
+  Server::Options options = server_options(d);
+  options.workers = 1;  // One worker takes the burst in batches of 16.
+  options.queue_depth = 64;
+  options.trace_path = d.root + "/server_trace.json";
+  solsched::obs::set_enabled(true);
+  solsched::obs::set_trace_events_enabled(true);
+
+  const std::uint64_t trace_id = derive_trace_id(11, 5);
+  std::vector<QueryRequest> queries = varied_queries(32);
+  queries[5].trace.trace_id = trace_id;
+  {
+    Server server(options);
+    server.start();
+    RawConn conn(d.socket);
+    ASSERT_TRUE(conn.ok());
+    // The test plays the client: its request span covers the whole burst.
+    const std::uint64_t start = solsched::obs::wall_us();
+    conn.send(concat_frames(queries, 0, queries.size()));
+    const Replies r = read_replies(conn, queries.size());
+    const std::uint64_t end = solsched::obs::wall_us();
+    solsched::obs::record_span_event("serve.client.request", start,
+                                     end - start, trace_id);
+    solsched::obs::record_flow_event("serve.request", trace_id,
+                                     /*start=*/true, start);
+    EXPECT_TRUE(r.others.empty());
+    EXPECT_EQ(r.decisions, expected_decisions(d, queries));
+    server.stop();  // Flushes the dump.
+  }
+  solsched::obs::set_trace_events_enabled(false);
+  solsched::obs::set_enabled(false);
+  solsched::obs::clear_trace_events();
+
+  const auto timeline =
+      solsched::obs::analysis::load_timeline({options.trace_path});
+  const auto breakdowns = solsched::obs::analysis::request_breakdowns(timeline);
+  const solsched::obs::analysis::RequestBreakdown* b = nullptr;
+  for (const auto& candidate : breakdowns)
+    if (candidate.trace_id == trace_id) b = &candidate;
+  ASSERT_NE(b, nullptr) << "trace id absent from the dump";
+  // stage <= server <= client, with the same µs slack as the single-query
+  // drill; the write stage ends when the batch's outbox is written.
+  EXPECT_GT(b->stage_sum_us, 0u);
+  EXPECT_LE(b->stage_sum_us, b->server_total_us + 50);
+  EXPECT_LE(b->server_total_us, b->client_latency_us + 50);
+  bool has_write = false;
+  for (const auto& span : b->spans) has_write |= span.name == "serve.req.write";
+  EXPECT_TRUE(has_write);
 }
 
 }  // namespace
