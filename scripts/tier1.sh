@@ -11,13 +11,14 @@
 # workload on its smallest inputs, checking metrics, failures and the
 # decision and served-reply digests), the scheduler-registry zoo suite
 # (`ctest -L sched`: id->factory->name round-trips, 1-vs-N-thread
-# bit-identity across the zoo, campaign journals keyed by canonical id,
+# bit-identity across the zoo, reused-instance == fresh-instance records,
+# the per-slot allocation budget, campaign journals keyed by canonical id,
 # spec-axis/registry drift), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, plus the concurrency/obs/telemetry/serve/
 # tsdb/sched suites rerun under ThreadSanitizer, the fault suite rerun
-# under UndefinedBehaviorSanitizer, and the simd parity suite rerun under
-# AddressSanitizer+UBSan.
+# under UndefinedBehaviorSanitizer, and the simd parity and sched suites
+# rerun under AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -25,12 +26,13 @@
 # full ctest); the scalar phase proves the kernel layer's bit-exactness
 # contract end to end (identical campaign decision fingerprints on the wam
 # and ecg workloads from both builds); the TSan phase rebuilds only to run
-# `ctest -L "concurrency|obs"` — the two label families with real
-# cross-thread traffic; the UBSan phase runs `ctest -L fault` — the
-# injection paths push NaN and out-of-range values through the decoders,
-# exactly where UB would hide; the ASan+UBSan phase runs `ctest -L simd` —
-# the vector kernels' tails and pack buffers are exactly where an
-# out-of-bounds lane would hide.
+# `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched"` — the label
+# families with real cross-thread traffic; the UBSan phase runs
+# `ctest -L fault` — the injection paths push NaN and out-of-range values
+# through the decoders, exactly where UB would hide; the ASan+UBSan phase
+# runs `ctest -L "simd|sched"` — the vector kernels' tails and pack
+# buffers, and the policies' reused, re-sized slot-path scratch buffers,
+# are exactly where an out-of-bounds read would hide.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -63,7 +65,10 @@ echo "== tier 1: scheduler registry zoo ($BUILD_DIR) =="
 # 4 threads, a ccedf/laedf/greedy campaign journals rows keyed by the
 # canonical ids, and the campaign scheduler axis is pinned to the registry
 # (drift test), so a new registry entry cannot silently miss the spec
-# vocabulary.
+# vocabulary. One instance reused over different traces and graphs must
+# match fresh instances, and a warm simulated day may allocate at most once
+# per slot (the returned decision) plus 4 per period: a policy that starts
+# allocating per slot fails here by name, with its count.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L sched
 
 echo "== tier 1: campaign kill/resume smoke ($BUILD_DIR) =="
@@ -265,9 +270,11 @@ cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
 
-echo "== tier 1: ASan+UBSan rerun of simd suite ($ASAN_DIR) =="
+echo "== tier 1: ASan+UBSan rerun of simd + sched suites ($ASAN_DIR) =="
+# sched rides along because every policy reuses slot-path scratch buffers
+# re-sized per graph (DESIGN.md §9): a stale size there reads out of bounds.
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
-ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L simd
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L "simd|sched"
 
 echo "tier 1 passed"

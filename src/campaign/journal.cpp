@@ -219,10 +219,17 @@ Journal::Journal(const std::string& path, std::uint64_t spec_digest)
                   static_cast<unsigned long long>(spec_digest));
     const std::string header = "{\"journal\": \"" + std::string(kMagic) +
                                "\", \"spec_digest\": \"" + digest + "\"}\n";
+    const char* error = nullptr;
     if (::write(fd_, header.data(), header.size()) !=
         static_cast<ssize_t>(header.size()))
-      fail(path, "cannot write header");
-    ::fsync(fd_);
+      error = "cannot write header";
+    else if (::fsync(fd_) != 0)
+      error = "fsync failed";
+    if (error != nullptr) {
+      ::close(fd_);  // The destructor does not run for a throwing ctor.
+      fd_ = -1;
+      fail(path, error);
+    }
   }
 }
 

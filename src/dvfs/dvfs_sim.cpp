@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sched/sched_util.hpp"
 
 namespace solsched::dvfs {
 
@@ -133,8 +132,8 @@ std::vector<DvfsAction> DvfsLoadMatcher::schedule_slot(
   const double max_load_w =
       ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
 
-  const auto by_nvp =
-      sched::candidates_by_nvp(graph, state, ctx.now_in_period_s, {});
+  const auto& by_nvp = sched::candidates_by_nvp(
+      graph, state, ctx.now_in_period_s, {}, scratch_);
 
   // Per NVP: the EDF head plus its feasible frequency options.
   struct Head {

@@ -14,6 +14,7 @@
 #include "dvfs/dvfs_model.hpp"
 #include "nvp/node_config.hpp"
 #include "nvp/sim_result.hpp"
+#include "sched/sched_util.hpp"
 #include "solar/solar_trace.hpp"
 #include "task/period_state.hpp"
 #include "task/task_graph.hpp"
@@ -63,6 +64,9 @@ class DvfsLoadMatcher final : public DvfsScheduler {
  public:
   std::string name() const override { return "DVFS-match"; }
   std::vector<DvfsAction> schedule_slot(const DvfsSlotContext& ctx) override;
+
+ private:
+  sched::LoadMatchScratch scratch_;
 };
 
 }  // namespace solsched::dvfs

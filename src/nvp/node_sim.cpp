@@ -1,5 +1,6 @@
 #include "nvp/node_sim.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -107,12 +108,15 @@ void emit_period_events(obs::SimTrace& events, const PeriodRecord& record,
 }
 
 /// Validates one slot decision against Eq. 7-9 and the period's te set.
+/// `nvp_busy` and `seen` are the run's reused masks (refilled here), so the
+/// per-slot check allocates nothing once they have grown to the graph.
 void validate_decision(const std::vector<std::size_t>& chosen,
                        const task::TaskGraph& graph,
                        const task::PeriodState& state,
-                       const std::vector<bool>& enabled) {
-  std::vector<bool> nvp_busy(graph.nvp_count(), false);
-  std::vector<bool> seen(graph.size(), false);
+                       const std::vector<bool>& enabled,
+                       std::vector<bool>& nvp_busy, std::vector<bool>& seen) {
+  nvp_busy.assign(graph.nvp_count(), false);
+  seen.assign(graph.size(), false);
   for (std::size_t id : chosen) {
     if (id >= graph.size())
       throw std::logic_error("scheduler chose an unknown task id");
@@ -161,7 +165,15 @@ SimResult simulate(const task::TaskGraph& graph,
 
   double dmr_sum = 0.0;
   std::size_t periods_done = 0;
-  std::vector<double> last_period_solar;
+  // One period context for the whole run: its last_period_solar_w buffer is
+  // refilled in place at each period end instead of re-allocated.
+  PeriodContext pctx;
+  pctx.grid = &grid;
+  pctx.graph = &graph;
+  pctx.bank = &bank;
+  pctx.predictor = &predictor;
+  std::vector<bool> nvp_busy(graph.nvp_count());
+  std::vector<bool> seen(graph.size());
   // A blackout can span period and day boundaries; entry/exit bookkeeping
   // (backup / restore) must fire once per outage, not once per period.
   bool in_blackout = false;
@@ -186,16 +198,10 @@ SimResult simulate(const task::TaskGraph& graph,
       // against E_end plus the recorded outflows (DESIGN.md §12).
       const double bank_begin_j = bank.total_energy_j();
 
-      PeriodContext pctx;
       pctx.day = day;
       pctx.period = period;
-      pctx.grid = &grid;
-      pctx.graph = &graph;
-      pctx.bank = &bank;
-      pctx.predictor = &predictor;
       pctx.accumulated_dmr =
           periods_done ? dmr_sum / static_cast<double>(periods_done) : 0.0;
-      pctx.last_period_solar_w = last_period_solar;
 
       const std::size_t prev_cap_index = bank.selected_index();
       PeriodPlan plan = policy.begin_period(pctx);
@@ -310,7 +316,8 @@ SimResult simulate(const task::TaskGraph& graph,
         sctx.predictor = &predictor;
 
         const std::vector<std::size_t> chosen = policy.schedule_slot(sctx);
-        validate_decision(chosen, graph, state, plan.tasks_enabled);
+        validate_decision(chosen, graph, state, plan.tasks_enabled, nvp_busy,
+                          seen);
 
         double load_w = 0.0;
         for (std::size_t id : chosen) load_w += graph.task(id).power_w;
@@ -374,7 +381,8 @@ SimResult simulate(const task::TaskGraph& graph,
 
       dmr_sum += record.dmr;
       ++periods_done;
-      last_period_solar = trace.period_powers(day, period);
+      const std::span<const double> solar = trace.period_view(day, period);
+      pctx.last_period_solar_w.assign(solar.begin(), solar.end());
       result.periods.push_back(record);
     }
   }

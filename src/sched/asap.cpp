@@ -12,29 +12,29 @@ std::vector<std::size_t> AsapScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
-  std::vector<std::size_t> chosen;
+  chosen_.clear();
 
   if (only_live_) {
-    const auto by_nvp =
-        candidates_by_nvp(graph, state, ctx.now_in_period_s, {});
-    for (const auto& list : by_nvp)
-      if (!list.empty()) chosen.push_back(list.front());
-    return chosen;
+    for (const auto& list :
+         candidates_by_nvp(graph, state, ctx.now_in_period_s, {}, scratch_))
+      if (!list.empty()) chosen_.push_back(list.front());
+    return chosen_;
   }
 
-  // Pure ASAP: every ready incomplete task, earliest deadline first per NVP,
-  // deadline passed or not.
-  std::vector<std::vector<std::size_t>> by_nvp(graph.nvp_count());
-  for (std::size_t id = 0; id < graph.size(); ++id)
-    if (state.ready(id)) by_nvp[graph.task(id).nvp].push_back(id);
-  for (auto& list : by_nvp) {
-    if (list.empty()) continue;
-    std::size_t best = list.front();
-    for (std::size_t id : list)
-      if (graph.task(id).deadline_s < graph.task(best).deadline_s) best = id;
-    chosen.push_back(best);
+  // Pure ASAP: every ready incomplete task, earliest deadline first per NVP
+  // (ties: lowest id), deadline passed or not.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  best_.assign(graph.nvp_count(), kNone);
+  for (std::size_t id = 0; id < graph.size(); ++id) {
+    if (!state.ready(id)) continue;
+    std::size_t& best = best_[graph.task(id).nvp];
+    if (best == kNone ||
+        graph.task(id).deadline_s < graph.task(best).deadline_s)
+      best = id;
   }
-  return chosen;
+  for (std::size_t id : best_)
+    if (id != kNone) chosen_.push_back(id);
+  return chosen_;
 }
 
 }  // namespace solsched::sched

@@ -7,6 +7,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -24,6 +25,9 @@ class AsapScheduler final : public nvp::Scheduler {
 
  private:
   bool only_live_;
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> best_;  ///< Pure mode: per-NVP pick (or npos).
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

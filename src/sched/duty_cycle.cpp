@@ -37,37 +37,13 @@ nvp::PeriodPlan DutyCycleScheduler::begin_period(
 
   // Enable tasks in deadline order (most urgent first) while they fit; a
   // task's dependencies must already be enabled or it cannot complete.
-  std::vector<std::size_t> order(graph.size());
+  std::vector<std::size_t>& order = admission_.order;
+  order.resize(graph.size());
   for (std::size_t i = 0; i < graph.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return graph.task(a).deadline_s < graph.task(b).deadline_s;
   });
-
-  enabled_.assign(graph.size(), false);
-  double committed_j = 0.0;
-  for (std::size_t id : order) {
-    // Cost of this task plus any not-yet-enabled dependencies; `visited`
-    // keeps shared predecessors from being counted twice.
-    double extra = 0.0;
-    std::vector<bool> visited(graph.size(), false);
-    std::vector<std::size_t> closure{id};
-    visited[id] = true;
-    for (std::size_t i = 0; i < closure.size(); ++i) {
-      const std::size_t t = closure[i];
-      if (enabled_[t]) continue;
-      extra += graph.task(t).energy_j();
-      for (std::size_t p : graph.predecessors(t)) {
-        if (!enabled_[p] && !visited[p]) {
-          visited[p] = true;
-          closure.push_back(p);
-        }
-      }
-    }
-    if (committed_j + extra <= budget_j_) {
-      for (std::size_t t : closure) enabled_[t] = true;
-      committed_j += extra;
-    }
-  }
+  admit_in_order(graph, budget_j_, admission_, enabled_);
 
   nvp::PeriodPlan plan;
   plan.tasks_enabled = enabled_;
@@ -80,19 +56,19 @@ std::vector<std::size_t> DutyCycleScheduler::schedule_slot(
   const double max_load_w =
       ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, ctx.grid->dt_s) /
       ctx.grid->dt_s;
-  const auto by_nvp = candidates_by_nvp(*ctx.graph, *ctx.state,
-                                        ctx.now_in_period_s, enabled_);
-  std::vector<std::size_t> chosen;
+  chosen_.clear();
   double committed_w = 0.0;
-  for (const auto& list : by_nvp) {
+  for (const auto& list : candidates_by_nvp(*ctx.graph, *ctx.state,
+                                            ctx.now_in_period_s, enabled_,
+                                            scratch_)) {
     if (list.empty()) continue;
     const std::size_t head = list.front();
     if (committed_w + ctx.graph->task(head).power_w <= max_load_w) {
-      chosen.push_back(head);
+      chosen_.push_back(head);
       committed_w += ctx.graph->task(head).power_w;
     }
   }
-  return chosen;
+  return chosen_;
 }
 
 }  // namespace solsched::sched

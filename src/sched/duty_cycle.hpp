@@ -9,6 +9,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -42,6 +43,9 @@ class DutyCycleScheduler final : public nvp::Scheduler {
   bool harvest_seen_ = false;
   double budget_j_ = 0.0;
   std::vector<bool> enabled_;
+  AdmissionScratch admission_;
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

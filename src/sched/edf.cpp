@@ -10,12 +10,11 @@ nvp::PeriodPlan EdfScheduler::begin_period(const nvp::PeriodContext&) {
 
 std::vector<std::size_t> EdfScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
-  const auto by_nvp =
-      candidates_by_nvp(*ctx.graph, *ctx.state, ctx.now_in_period_s, {});
-  std::vector<std::size_t> chosen;
-  for (const auto& list : by_nvp)
-    if (!list.empty()) chosen.push_back(list.front());
-  return chosen;
+  chosen_.clear();
+  for (const auto& list : candidates_by_nvp(*ctx.graph, *ctx.state,
+                                            ctx.now_in_period_s, {}, scratch_))
+    if (!list.empty()) chosen_.push_back(list.front());
+  return chosen_;
 }
 
 }  // namespace solsched::sched

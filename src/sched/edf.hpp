@@ -6,6 +6,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -15,6 +16,10 @@ class EdfScheduler final : public nvp::Scheduler {
   std::string name() const override { return "EDF"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
+
+ private:
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

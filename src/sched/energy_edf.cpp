@@ -10,16 +10,16 @@ namespace {
 
 /// Per-NVP EDF head candidates flattened into one cross-NVP EDF order
 /// (earliest deadline first, ties: less remaining work, then id — the same
-/// tie-breaks candidates_by_nvp applies within an NVP).
-std::vector<std::size_t> edf_heads(const task::TaskGraph& graph,
-                                   const task::PeriodState& state,
-                                   double now_s,
-                                   const std::vector<bool>& enabled) {
-  const auto by_nvp = candidates_by_nvp(graph, state, now_s, enabled);
-  std::vector<std::size_t> heads;
-  for (const auto& list : by_nvp)
-    if (!list.empty()) heads.push_back(list.front());
-  std::sort(heads.begin(), heads.end(), [&](std::size_t a, std::size_t b) {
+/// tie-breaks candidates_by_nvp applies within an NVP), into `s.heads`.
+const std::vector<std::size_t>& edf_heads(const task::TaskGraph& graph,
+                                          const task::PeriodState& state,
+                                          double now_s,
+                                          const std::vector<bool>& enabled,
+                                          EdfHeadScratch& s) {
+  s.heads.clear();
+  for (const auto& list : candidates_by_nvp(graph, state, now_s, enabled, s.lm))
+    if (!list.empty()) s.heads.push_back(list.front());
+  std::sort(s.heads.begin(), s.heads.end(), [&](std::size_t a, std::size_t b) {
     const auto& ta = graph.task(a);
     const auto& tb = graph.task(b);
     if (ta.deadline_s != tb.deadline_s) return ta.deadline_s < tb.deadline_s;
@@ -27,7 +27,7 @@ std::vector<std::size_t> edf_heads(const task::TaskGraph& graph,
       return state.remaining_s(a) < state.remaining_s(b);
     return a < b;
   });
-  return heads;
+  return s.heads;
 }
 
 /// The PMU's supplyable load this slot (W).
@@ -63,9 +63,11 @@ std::vector<std::size_t> CcEdfScheduler::schedule_slot(
                   std::max(slack_s, dt);
   }
 
-  std::vector<std::size_t> chosen;
+  std::vector<std::size_t>& chosen = scratch_.chosen;
+  chosen.clear();
   double committed_w = 0.0;
-  for (std::size_t head : edf_heads(graph, state, ctx.now_in_period_s, {})) {
+  for (std::size_t head :
+       edf_heads(graph, state, ctx.now_in_period_s, {}, scratch_)) {
     const double p = graph.task(head).power_w;
     if (committed_w + p > max_load_w) continue;  // Would brown the node out.
     const bool forced =
@@ -112,9 +114,11 @@ std::vector<std::size_t> LaEdfScheduler::schedule_slot(
       ctx.bank->selected().deliverable_j() + forecast_j;
   const bool can_defer = available_j >= demand_j * (1.0 + config_.reserve);
 
-  std::vector<std::size_t> chosen;
+  std::vector<std::size_t>& chosen = scratch_.chosen;
+  chosen.clear();
   double committed_w = 0.0;
-  for (std::size_t head : edf_heads(graph, state, ctx.now_in_period_s, {})) {
+  for (std::size_t head :
+       edf_heads(graph, state, ctx.now_in_period_s, {}, scratch_)) {
     const double p = graph.task(head).power_w;
     if (committed_w + p > max_load_w) continue;
     if (can_defer &&
@@ -143,37 +147,15 @@ nvp::PeriodPlan GreedyFeasibleScheduler::begin_period(
   // Enable jobs in deadline order while they (and their not-yet-enabled
   // dependency closure) fit the budget; jobs that do not fit are skipped —
   // spending energy on a task that cannot finish only starves the rest.
-  std::vector<std::size_t> order(graph.size());
+  std::vector<std::size_t>& order = admission_.order;
+  order.resize(graph.size());
   for (std::size_t i = 0; i < graph.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (graph.task(a).deadline_s != graph.task(b).deadline_s)
       return graph.task(a).deadline_s < graph.task(b).deadline_s;
     return a < b;
   });
-
-  enabled_.assign(graph.size(), false);
-  double committed_j = 0.0;
-  for (std::size_t id : order) {
-    double extra = 0.0;
-    std::vector<bool> visited(graph.size(), false);
-    std::vector<std::size_t> closure{id};
-    visited[id] = true;
-    for (std::size_t i = 0; i < closure.size(); ++i) {
-      const std::size_t t = closure[i];
-      if (enabled_[t]) continue;
-      extra += graph.task(t).energy_j();
-      for (std::size_t p : graph.predecessors(t)) {
-        if (!enabled_[p] && !visited[p]) {
-          visited[p] = true;
-          closure.push_back(p);
-        }
-      }
-    }
-    if (committed_j + extra <= budget_j_) {
-      for (std::size_t t : closure) enabled_[t] = true;
-      committed_j += extra;
-    }
-  }
+  admit_in_order(graph, budget_j_, admission_, enabled_);
 
   nvp::PeriodPlan plan;
   plan.tasks_enabled = enabled_;
@@ -184,10 +166,11 @@ std::vector<std::size_t> GreedyFeasibleScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
   // EDF over the admitted subset, shed to the supplyable load.
   const double max_load_w = supplyable_w(ctx);
-  std::vector<std::size_t> chosen;
+  std::vector<std::size_t>& chosen = scratch_.chosen;
+  chosen.clear();
   double committed_w = 0.0;
-  for (std::size_t head :
-       edf_heads(*ctx.graph, *ctx.state, ctx.now_in_period_s, enabled_)) {
+  for (std::size_t head : edf_heads(*ctx.graph, *ctx.state,
+                                    ctx.now_in_period_s, enabled_, scratch_)) {
     const double p = ctx.graph->task(head).power_w;
     if (committed_w + p > max_load_w) continue;
     chosen.push_back(head);

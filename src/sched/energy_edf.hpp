@@ -20,6 +20,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -29,6 +30,14 @@ struct EnergyEdfConfig {
                              ///< forecast harvest (matches duty-cycle).
   double reserve = 0.05;     ///< Safety margin: fraction of demand kept in
                              ///< hand before look-ahead allows deferral.
+};
+
+/// Slot-path buffers every variant owns: the EDF-head scratch and the
+/// decision being built.
+struct EdfHeadScratch {
+  LoadMatchScratch lm;
+  std::vector<std::size_t> heads;
+  std::vector<std::size_t> chosen;
 };
 
 /// Cycle-conserving EDF: per-NVP EDF heads, admitted while the committed
@@ -44,6 +53,7 @@ class CcEdfScheduler final : public nvp::Scheduler {
 
  private:
   EnergyEdfConfig config_;
+  EdfHeadScratch scratch_;
 };
 
 /// Look-ahead EDF: while deliverable storage plus the WCMA forecast up to
@@ -60,6 +70,7 @@ class LaEdfScheduler final : public nvp::Scheduler {
 
  private:
   EnergyEdfConfig config_;
+  EdfHeadScratch scratch_;
 };
 
 /// Greedy energy-feasibility admission: at each period start, enable tasks
@@ -83,6 +94,8 @@ class GreedyFeasibleScheduler final : public nvp::Scheduler {
   EnergyEdfConfig config_;
   double budget_j_ = 0.0;
   std::vector<bool> enabled_;
+  AdmissionScratch admission_;
+  EdfHeadScratch scratch_;
 };
 
 }  // namespace solsched::sched

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -20,10 +21,16 @@ class IntraTaskScheduler final : public nvp::Scheduler {
 
   /// Load-matching core, shared with the proposed scheduler's intra mode:
   /// chooses among each NVP's head candidate to minimize |target_w - load|,
-  /// always including forced tasks. Exposed for reuse and testing.
-  static std::vector<std::size_t> match_load(
-      const nvp::SlotContext& ctx, const std::vector<bool>& enabled,
-      double target_w);
+  /// always including forced tasks, into `chosen` (cleared first). Exposed
+  /// for reuse and testing.
+  static void match_load(const nvp::SlotContext& ctx,
+                         const std::vector<bool>& enabled, double target_w,
+                         LoadMatchScratch& scratch,
+                         std::vector<std::size_t>& chosen);
+
+ private:
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

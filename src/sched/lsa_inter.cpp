@@ -10,17 +10,18 @@ nvp::PeriodPlan LsaInterScheduler::begin_period(const nvp::PeriodContext&) {
   return {};
 }
 
-std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
-                                           const std::vector<bool>& enabled,
-                                           double margin_slots) {
+void lsa_slot_decision(const nvp::SlotContext& ctx,
+                       const std::vector<bool>& enabled, double margin_slots,
+                       LoadMatchScratch& scratch,
+                       std::vector<std::size_t>& chosen) {
   const auto& graph = *ctx.graph;
   const auto& state = *ctx.state;
   const double dt = ctx.grid->dt_s;
 
-  const auto by_nvp =
-      candidates_by_nvp(graph, state, ctx.now_in_period_s, enabled);
+  const auto& by_nvp =
+      candidates_by_nvp(graph, state, ctx.now_in_period_s, enabled, scratch);
 
-  std::vector<std::size_t> chosen;
+  chosen.clear();
   double committed_w = 0.0;
   const double max_load_w =
       ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
@@ -70,12 +71,12 @@ std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
       committed_w += t.power_w;
     }
   }
-  return chosen;
 }
 
 std::vector<std::size_t> LsaInterScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
-  return lsa_slot_decision(ctx, {}, config_.margin_slots);
+  lsa_slot_decision(ctx, {}, config_.margin_slots, scratch_, chosen_);
+  return chosen_;
 }
 
 }  // namespace solsched::sched

@@ -9,6 +9,7 @@
 #pragma once
 
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -20,10 +21,11 @@ struct LsaConfig {
 
 /// Core LSA slot decision, reusable by the proposed scheduler's inter-task
 /// mode: forced starts + free-solar starts + forecast-starved starts, over
-/// tasks allowed by `enabled` (empty = all).
-std::vector<std::size_t> lsa_slot_decision(const nvp::SlotContext& ctx,
-                                           const std::vector<bool>& enabled,
-                                           double margin_slots);
+/// tasks allowed by `enabled` (empty = all), into `chosen` (cleared first).
+void lsa_slot_decision(const nvp::SlotContext& ctx,
+                       const std::vector<bool>& enabled, double margin_slots,
+                       LoadMatchScratch& scratch,
+                       std::vector<std::size_t>& chosen);
 
 /// WCMA-driven lazy (as-late-as-viable) inter-task scheduler.
 class LsaInterScheduler final : public nvp::Scheduler {
@@ -36,6 +38,8 @@ class LsaInterScheduler final : public nvp::Scheduler {
 
  private:
   LsaConfig config_;
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

@@ -65,8 +65,11 @@ std::vector<std::size_t> LutScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
   const double budget_w = ctx.solar_w * ctx.pmu->config().direct_eta;
   if (intra_mode_)
-    return IntraTaskScheduler::match_load(ctx, active_te_, budget_w);
-  return lsa_slot_decision(ctx, active_te_, config_.margin_slots);
+    IntraTaskScheduler::match_load(ctx, active_te_, budget_w, scratch_,
+                                   chosen_);
+  else
+    lsa_slot_decision(ctx, active_te_, config_.margin_slots, scratch_, chosen_);
+  return chosen_;
 }
 
 }  // namespace solsched::sched

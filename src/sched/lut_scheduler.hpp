@@ -14,6 +14,7 @@
 #include "nvp/scheduler.hpp"
 #include "sched/lut.hpp"
 #include "sched/proposed.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -37,6 +38,8 @@ class LutScheduler final : public nvp::Scheduler {
   ProposedConfig config_;
   std::vector<bool> active_te_;
   bool intra_mode_ = false;
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

@@ -44,6 +44,10 @@ void OptimalScheduler::begin_trace(const task::TaskGraph& graph,
                                    const solar::SolarTrace& trace) {
   trace_ = &trace;
   direct_eta_ = config.pmu.direct_eta;
+  // The option cache keys on (solar, capacity, v0) alone, so its entries
+  // hold for one (graph, node) pair only. A private cache therefore starts
+  // every trace empty; a shared cache's owner vouches for the pairing.
+  if (cache_ && !config_.shared_cache) cache_->clear();
   run_dp(graph, config, trace);
 }
 
@@ -331,6 +335,7 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
 nvp::PeriodPlan OptimalScheduler::begin_period(const nvp::PeriodContext& ctx) {
   const std::size_t flat = ctx.grid->flat_period(ctx.day, ctx.period);
   const PlannedPeriod& planned = plan_.at(flat);
+  period_solar_ = trace_->period_view(ctx.day, ctx.period);
   nvp::PeriodPlan plan;
   plan.select_cap = planned.cap_index;
   // The planned te drives prioritization inside schedule_slot; the engine
@@ -349,14 +354,15 @@ std::vector<std::size_t> OptimalScheduler::schedule_slot(
 
   // Oracle suffix energy within the remainder of this period.
   const std::size_t n_slots = ctx.grid->n_slots;
-  const std::vector<double> solar = trace_->period_powers(ctx.day, ctx.period);
+  const std::span<const double> solar = period_solar_;
 
-  const std::vector<bool> enabled =
-      te.empty() ? std::vector<bool>(graph.size(), true) : te;
+  if (te.empty()) all_enabled_.assign(graph.size(), true);
+  const std::vector<bool>& enabled = te.empty() ? all_enabled_ : te;
 
   // Oracle starvation forcing, as in the period optimizer.
-  std::vector<bool> must_run(graph.size(), false);
-  for (std::size_t id : state.live_ready_tasks(ctx.now_in_period_s)) {
+  must_run_.assign(graph.size(), false);
+  state.live_ready_tasks_into(ctx.now_in_period_s, scratch_.live);
+  for (std::size_t id : scratch_.live) {
     if (!enabled[id]) continue;
     const auto& t = graph.task(id);
     const auto dl_slot = std::min(
@@ -365,36 +371,36 @@ std::vector<std::size_t> OptimalScheduler::schedule_slot(
     double future_j = 0.0;
     for (std::size_t m = ctx.slot; m < dl_slot; ++m) future_j += solar[m] * dt;
     if (future_j * direct_eta_ < state.remaining_s(id) * t.power_w)
-      must_run[id] = true;
+      must_run_[id] = true;
   }
 
   const double direct_budget_w = ctx.solar_w * direct_eta_;
   const double max_load_w =
       ctx.pmu->supplyable_j(ctx.solar_w, *ctx.bank, dt) / dt;
-  std::vector<std::size_t> chosen =
-      load_match_decision(graph, state, ctx.now_in_period_s, dt, enabled,
-                          direct_budget_w, must_run, max_load_w);
+  std::vector<std::size_t>& chosen = chosen_;
+  load_match_decision(graph, state, scratch_.live, ctx.now_in_period_s, dt,
+                      enabled, direct_budget_w, must_run_, max_load_w,
+                      scratch_, chosen);
   double committed_w = 0.0;
   for (std::size_t id : chosen) committed_w += graph.task(id).power_w;
 
   // Scavenging pass: tasks outside the planned te may run on *free solar
   // only* (never storage), using NVPs the plan left idle. This can only
   // lower the realized DMR relative to the plan.
-  std::vector<bool> off_plan(graph.size());
+  off_plan_.assign(graph.size(), false);
   for (std::size_t id = 0; id < graph.size(); ++id)
-    off_plan[id] = te.empty() ? false : !te[id];
-  const auto extra_by_nvp =
-      candidates_by_nvp(graph, state, ctx.now_in_period_s, off_plan);
-  std::vector<bool> nvp_busy(graph.nvp_count(), false);
-  for (std::size_t id : chosen) nvp_busy[graph.task(id).nvp] = true;
-  for (const auto& list : extra_by_nvp) {
+    off_plan_[id] = te.empty() ? false : !te[id];
+  nvp_busy_.assign(graph.nvp_count(), false);
+  for (std::size_t id : chosen) nvp_busy_[graph.task(id).nvp] = true;
+  for (const auto& list : candidates_by_nvp(graph, state, ctx.now_in_period_s,
+                                            off_plan_, scratch_)) {
     if (list.empty()) continue;
     const std::size_t head = list.front();
-    if (nvp_busy[graph.task(head).nvp]) continue;
+    if (nvp_busy_[graph.task(head).nvp]) continue;
     if (committed_w + graph.task(head).power_w <= direct_budget_w) {
       chosen.push_back(head);
       committed_w += graph.task(head).power_w;
-      nvp_busy[graph.task(head).nvp] = true;
+      nvp_busy_[graph.task(head).nvp] = true;
     }
   }
   return chosen;

@@ -18,12 +18,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nvp/scheduler.hpp"
 #include "sched/lut.hpp"
 #include "sched/period_option_cache.hpp"
 #include "sched/period_optimizer.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -115,6 +117,14 @@ class OptimalScheduler final : public nvp::Scheduler {
   // Execution-time state (greedy-lazy placement over the planned te).
   const solar::SolarTrace* trace_ = nullptr;
   double direct_eta_ = 0.92;
+  std::span<const double> period_solar_;  ///< Current period, from trace_.
+  // Slot-path buffers, reused across slots.
+  LoadMatchScratch scratch_;
+  std::vector<bool> all_enabled_;
+  std::vector<bool> must_run_;
+  std::vector<bool> off_plan_;
+  std::vector<bool> nvp_busy_;
+  std::vector<std::size_t> chosen_;
 };
 
 }  // namespace solsched::sched

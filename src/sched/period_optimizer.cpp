@@ -114,9 +114,9 @@ PeriodEval PeriodOptimizer::evaluate_with(const std::vector<bool>& te,
     const double direct_budget_w = solar_w[m] * pmu_.direct_eta;
     const double max_load_w =
         pmu.supplyable_j(solar_w[m], bank, dt_s_) / dt_s_;
-    load_match_from_live_into(graph, state, lm_scratch.live, now, dt_s_,
-                              enabled, direct_budget_w, must_run, max_load_w,
-                              lm_scratch, chosen);
+    load_match_decision(graph, state, lm_scratch.live, now, dt_s_, enabled,
+                        direct_budget_w, must_run, max_load_w, lm_scratch,
+                        chosen);
     double committed_w = 0.0;
     for (std::size_t id : chosen) committed_w += graph.task(id).power_w;
 

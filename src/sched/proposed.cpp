@@ -199,36 +199,37 @@ std::vector<std::size_t> ProposedScheduler::schedule_slot(
   const auto& graph = *ctx.graph;
   const double direct_budget_w = ctx.solar_w * ctx.pmu->config().direct_eta;
 
-  std::vector<std::size_t> chosen;
+  std::vector<std::size_t>& chosen = chosen_;
   if (intra_mode_)
-    chosen = IntraTaskScheduler::match_load(ctx, active_te_, direct_budget_w);
+    IntraTaskScheduler::match_load(ctx, active_te_, direct_budget_w, scratch_,
+                                   chosen);
   else
-    chosen = lsa_slot_decision(ctx, active_te_, config_.margin_slots);
+    lsa_slot_decision(ctx, active_te_, config_.margin_slots, scratch_, chosen);
 
   // Scavenging pass: tasks outside te may run on *free solar only*, on NVPs
   // the te set left idle — never on stored energy, so the DBN's long-term
   // energy plan is unaffected.
   double committed_w = 0.0;
   for (std::size_t id : chosen) committed_w += graph.task(id).power_w;
-  std::vector<bool> off_te(graph.size());
+  off_te_.assign(graph.size(), false);
   bool any_off = false;
   for (std::size_t id = 0; id < graph.size(); ++id) {
-    off_te[id] = !active_te_.empty() && !active_te_[id];
-    any_off = any_off || off_te[id];
+    off_te_[id] = !active_te_.empty() && !active_te_[id];
+    any_off = any_off || off_te_[id];
   }
   if (any_off) {
-    const auto extra = candidates_by_nvp(graph, *ctx.state,
-                                         ctx.now_in_period_s, off_te);
-    std::vector<bool> nvp_busy(graph.nvp_count(), false);
-    for (std::size_t id : chosen) nvp_busy[graph.task(id).nvp] = true;
-    for (const auto& list : extra) {
+    nvp_busy_.assign(graph.nvp_count(), false);
+    for (std::size_t id : chosen) nvp_busy_[graph.task(id).nvp] = true;
+    for (const auto& list : candidates_by_nvp(graph, *ctx.state,
+                                              ctx.now_in_period_s, off_te_,
+                                              scratch_)) {
       if (list.empty()) continue;
       const std::size_t head = list.front();
-      if (nvp_busy[graph.task(head).nvp]) continue;
+      if (nvp_busy_[graph.task(head).nvp]) continue;
       if (committed_w + graph.task(head).power_w <= direct_budget_w) {
         chosen.push_back(head);
         committed_w += graph.task(head).power_w;
-        nvp_busy[graph.task(head).nvp] = true;
+        nvp_busy_[graph.task(head).nvp] = true;
       }
     }
   }

@@ -16,6 +16,7 @@
 #include "ann/normalizer.hpp"
 #include "fault/fault_injector.hpp"
 #include "nvp/scheduler.hpp"
+#include "sched/sched_util.hpp"
 
 namespace solsched::sched {
 
@@ -120,6 +121,11 @@ class ProposedScheduler final : public nvp::Scheduler {
   const fault::FaultInjector* faults_ = nullptr;
   std::size_t fallback_count_ = 0;
   FallbackReason last_fallback_ = FallbackReason::kNone;
+  // Slot-path buffers, reused across slots.
+  LoadMatchScratch scratch_;
+  std::vector<std::size_t> chosen_;
+  std::vector<bool> off_te_;
+  std::vector<bool> nvp_busy_;
 };
 
 }  // namespace solsched::sched

@@ -44,22 +44,15 @@ void candidates_from_live(const task::TaskGraph& graph,
     }
 }
 
-void candidates_by_nvp_into(const task::TaskGraph& graph,
-                            const task::PeriodState& state, double now_s,
-                            const std::vector<bool>& enabled,
-                            LoadMatchScratch& s) {
-  state.live_ready_tasks_into(now_s, s.live);
-  candidates_from_live(graph, state, s.live, enabled, s);
-}
-
 }  // namespace
 
-std::vector<std::vector<std::size_t>> candidates_by_nvp(
+const std::vector<std::vector<std::size_t>>& candidates_by_nvp(
     const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, const std::vector<bool>& enabled) {
-  LoadMatchScratch s;
-  candidates_by_nvp_into(graph, state, now_s, enabled, s);
-  return std::move(s.by_nvp);
+    double now_s, const std::vector<bool>& enabled,
+    LoadMatchScratch& scratch) {
+  state.live_ready_tasks_into(now_s, scratch.live);
+  candidates_from_live(graph, state, scratch.live, enabled, scratch);
+  return scratch.by_nvp;
 }
 
 double latest_start_s(const task::TaskGraph& graph,
@@ -101,35 +94,13 @@ std::vector<std::vector<bool>> closed_subsets(const task::TaskGraph& graph) {
   return out;
 }
 
-std::vector<std::size_t> load_match_decision(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, double dt_s, const std::vector<bool>& enabled,
-    double target_w, const std::vector<bool>& must_run, double max_load_w) {
-  LoadMatchScratch scratch;
-  std::vector<std::size_t> chosen;
-  load_match_decision_into(graph, state, now_s, dt_s, enabled, target_w,
-                           must_run, max_load_w, scratch, chosen);
-  return chosen;
-}
-
-void load_match_decision_into(const task::TaskGraph& graph,
-                              const task::PeriodState& state, double now_s,
-                              double dt_s, const std::vector<bool>& enabled,
-                              double target_w,
-                              const std::vector<bool>& must_run,
-                              double max_load_w, LoadMatchScratch& scratch,
-                              std::vector<std::size_t>& chosen) {
-  state.live_ready_tasks_into(now_s, scratch.live);
-  load_match_from_live_into(graph, state, scratch.live, now_s, dt_s, enabled,
-                            target_w, must_run, max_load_w, scratch, chosen);
-}
-
-void load_match_from_live_into(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    const std::vector<std::size_t>& live, double now_s, double dt_s,
-    const std::vector<bool>& enabled, double target_w,
-    const std::vector<bool>& must_run, double max_load_w,
-    LoadMatchScratch& scratch, std::vector<std::size_t>& chosen) {
+void load_match_decision(const task::TaskGraph& graph,
+                         const task::PeriodState& state,
+                         const std::vector<std::size_t>& live, double now_s,
+                         double dt_s, const std::vector<bool>& enabled,
+                         double target_w, const std::vector<bool>& must_run,
+                         double max_load_w, LoadMatchScratch& scratch,
+                         std::vector<std::size_t>& chosen) {
   candidates_from_live(graph, state, live, enabled, scratch);
 
   std::vector<std::size_t>& heads = scratch.heads;
@@ -213,6 +184,35 @@ void load_match_from_live_into(
     } else {
       if ((best_mask >> b) & 1u) chosen.push_back(heads[i]);
       ++b;
+    }
+  }
+}
+
+void admit_in_order(const task::TaskGraph& graph, double budget_j,
+                    AdmissionScratch& scratch, std::vector<bool>& enabled) {
+  enabled.assign(graph.size(), false);
+  double committed_j = 0.0;
+  for (std::size_t id : scratch.order) {
+    // Cost of this task plus any not-yet-enabled dependencies; `visited`
+    // keeps shared predecessors from being counted twice.
+    double extra = 0.0;
+    scratch.visited.assign(graph.size(), false);
+    scratch.closure.assign(1, id);
+    scratch.visited[id] = true;
+    for (std::size_t i = 0; i < scratch.closure.size(); ++i) {
+      const std::size_t t = scratch.closure[i];
+      if (enabled[t]) continue;
+      extra += graph.task(t).energy_j();
+      for (std::size_t p : graph.predecessors(t)) {
+        if (!enabled[p] && !scratch.visited[p]) {
+          scratch.visited[p] = true;
+          scratch.closure.push_back(p);
+        }
+      }
+    }
+    if (committed_j + extra <= budget_j) {
+      for (std::size_t t : scratch.closure) enabled[t] = true;
+      committed_j += extra;
     }
   }
 }

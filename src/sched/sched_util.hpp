@@ -9,12 +9,28 @@
 
 namespace solsched::sched {
 
+/// Reused buffers of the per-slot helpers below. The caller owns one per
+/// decision stream (each policy instance, each period evaluation), so the
+/// slot path allocates only while the buffers first grow to the graph's
+/// size; refills are clear()+push_back within capacity. Not thread-safe:
+/// one scratch per concurrent caller.
+struct LoadMatchScratch {
+  std::vector<std::size_t> live;
+  std::vector<std::vector<std::size_t>> by_nvp;
+  std::vector<std::size_t> heads;
+  std::vector<bool> forced;
+  std::vector<std::size_t> optional;  ///< Head indices the sweep varies.
+};
+
 /// Live, ready candidate tasks grouped by NVP, each NVP's list sorted by
 /// earliest deadline first (ties: less remaining work first, then id).
 /// Only tasks with `enabled` true are considered (empty mask = all).
-std::vector<std::vector<std::size_t>> candidates_by_nvp(
+/// Returns `scratch.by_nvp` (one list per NVP of `graph`), valid until the
+/// scratch's next use.
+const std::vector<std::vector<std::size_t>>& candidates_by_nvp(
     const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, const std::vector<bool>& enabled);
+    double now_s, const std::vector<bool>& enabled,
+    LoadMatchScratch& scratch);
 
 /// Latest slot-aligned start time after which `id` can no longer finish by
 /// its deadline: deadline - remaining (s). Negative slack means the task can
@@ -43,49 +59,39 @@ std::vector<std::vector<bool>> closed_subsets(const task::TaskGraph& graph);
 /// Per-slot load-matching decision shared by the intra-task baseline, the
 /// period optimizer and the optimal scheduler: among each NVP's head
 /// candidate, always runs tasks that are deadline-forced or listed in
-/// `must_run`, then picks the optional combination whose total power is
-/// closest to `target_w` (more tasks win ties).
+/// `must_run` (empty = none), then picks the optional combination whose
+/// total power is closest to `target_w` (more tasks win ties).
 /// Combinations whose load exceeds `max_load_w` (the PMU's supplyable power
 /// this slot) are infeasible: running them would brown the node out and
 /// waste the slot entirely. If even the forced set exceeds the limit,
 /// forced tasks are shed latest-deadline-first.
-std::vector<std::size_t> load_match_decision(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    double now_s, double dt_s, const std::vector<bool>& enabled,
-    double target_w, const std::vector<bool>& must_run = {},
-    double max_load_w = 1e18);
+///
+/// `live` must be state.live_ready_tasks(now_s); callers fill
+/// `scratch.live` with live_ready_tasks_into and pass it, because the
+/// oracle policies need that list for their must-run pass anyway. The
+/// decision lands in `chosen` (cleared first).
+void load_match_decision(const task::TaskGraph& graph,
+                         const task::PeriodState& state,
+                         const std::vector<std::size_t>& live, double now_s,
+                         double dt_s, const std::vector<bool>& enabled,
+                         double target_w, const std::vector<bool>& must_run,
+                         double max_load_w, LoadMatchScratch& scratch,
+                         std::vector<std::size_t>& chosen);
 
-/// Reused buffers for load_match_decision_into. One set per period
-/// evaluation instead of one per slot: the DP's subset sweep makes ~1M
-/// slot decisions per training run and the per-slot allocations dominate
-/// its profile.
-struct LoadMatchScratch {
-  std::vector<std::size_t> live;
-  std::vector<std::vector<std::size_t>> by_nvp;
-  std::vector<std::size_t> heads;
-  std::vector<bool> forced;
-  std::vector<std::size_t> optional;  ///< Head indices the sweep varies.
+/// Reused buffers of admit_in_order.
+struct AdmissionScratch {
+  std::vector<std::size_t> order;  ///< Admission order; the caller fills it.
+  std::vector<bool> visited;
+  std::vector<std::size_t> closure;
 };
 
-/// Buffer-reusing variant of load_match_decision: identical decision,
-/// result lands in `chosen` (cleared first).
-void load_match_decision_into(const task::TaskGraph& graph,
-                              const task::PeriodState& state, double now_s,
-                              double dt_s, const std::vector<bool>& enabled,
-                              double target_w,
-                              const std::vector<bool>& must_run,
-                              double max_load_w, LoadMatchScratch& scratch,
-                              std::vector<std::size_t>& chosen);
-
-/// Same decision, but from a live-ready list the caller already computed
-/// for this (state, now_s) — the period evaluator needs that list for its
-/// must-run pass anyway, so this avoids deriving it twice per slot.
-void load_match_from_live_into(
-    const task::TaskGraph& graph, const task::PeriodState& state,
-    const std::vector<std::size_t>& live, double now_s, double dt_s,
-    const std::vector<bool>& enabled, double target_w,
-    const std::vector<bool>& must_run, double max_load_w,
-    LoadMatchScratch& scratch, std::vector<std::size_t>& chosen);
+/// Period-start admission shared by the duty-cycle and greedy policies:
+/// walks `scratch.order` and enables each task together with its
+/// not-yet-enabled dependency closure while the cumulative energy of the
+/// enabled set fits `budget_j` (a task that does not fit is skipped, later
+/// ones may still fit). `enabled` is resized to the graph and overwritten.
+void admit_in_order(const task::TaskGraph& graph, double budget_j,
+                    AdmissionScratch& scratch, std::vector<bool>& enabled);
 
 /// The scheduling-pattern index α (Eq. 18): energy demanded by the subset /
 /// solar energy supplied in the period. Returns a large sentinel (1e9) when

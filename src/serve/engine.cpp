@@ -41,9 +41,7 @@ DecisionReply plan_to_reply(const nvp::PeriodPlan& plan,
 }  // namespace
 
 DecisionEngine::DecisionEngine(Options options)
-    : options_(std::move(options)) {
-  table_.store(std::make_shared<const Table>(), std::memory_order_release);
-}
+    : options_(std::move(options)), table_(std::make_shared<const Table>()) {}
 
 std::size_t DecisionEngine::load_all() {
   std::size_t loaded = 0;
@@ -97,8 +95,7 @@ bool DecisionEngine::load_controller(std::uint64_t key, std::string* message) {
     std::lock_guard<std::mutex> lock(reload_mutex_);
     auto next = std::make_shared<Table>(*snapshot());
     (*next)[key] = std::move(controller);
-    table_.store(std::shared_ptr<const Table>(std::move(next)),
-                 std::memory_order_release);
+    publish(std::move(next));
   }
   if (message) *message = "loaded " + cache.path_of(key);
   return true;

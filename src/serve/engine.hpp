@@ -2,13 +2,14 @@
 //
 // The engine owns a read-mostly table from controller key (the campaign
 // ArtifactCache's 64-bit artifact digest) to a loaded TrainedController,
-// published through one std::atomic<std::shared_ptr<const Table>>. Request
-// workers take an acquire snapshot per query and decide against it, so a
-// concurrent reload is one release store of a fresh table: in-flight
-// requests finish on the controller they started with, new requests see
-// the new one, and nothing is ever torn — the shared_ptr keeps every
-// superseded controller alive until its last reader drops it (the
-// hot-reload memory-ordering contract of DESIGN.md §16).
+// published through one std::shared_ptr<const Table> guarded by a small
+// mutex. Request workers copy that pointer per query (a refcount bump under
+// the lock) and decide against it, so a concurrent reload is one pointer
+// swap to a fresh table: in-flight requests finish on the controller they
+// started with, new requests see the new one, and nothing is ever torn —
+// the shared_ptr keeps every superseded controller alive until its last
+// reader drops it (the hot-reload memory-ordering contract of DESIGN.md
+// §16).
 //
 // Degradation ladder (every rung replies, none throws):
 //   1. key present + within budget  -> the DBN decision, exactly what an
@@ -83,11 +84,22 @@ class DecisionEngine {
       std::map<std::uint64_t, std::shared_ptr<const core::TrainedController>>;
 
   std::shared_ptr<const Table> snapshot() const {
-    return table_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    return table_;
+  }
+  /// Swaps in `next`; the superseded table is released with the
+  /// parameter, after the lock.
+  void publish(std::shared_ptr<const Table> next) {
+    std::lock_guard<std::mutex> lock(table_mutex_);
+    table_.swap(next);
   }
 
   Options options_;
-  std::atomic<std::shared_ptr<const Table>> table_;
+  // A plain mutex rather than std::atomic<std::shared_ptr>: libstdc++ 12
+  // implements the latter with a lock bit ThreadSanitizer cannot model, and
+  // the critical section is one refcount bump either way.
+  mutable std::mutex table_mutex_;
+  std::shared_ptr<const Table> table_;  ///< Guarded by table_mutex_.
   std::mutex reload_mutex_;  ///< Serializes copy-on-write publishers.
   std::atomic<std::uint64_t> measured_infer_us_{0};  ///< Observed maximum.
 };

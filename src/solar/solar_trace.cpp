@@ -21,9 +21,16 @@ double SolarTrace::at(std::size_t day, std::size_t period,
 
 std::vector<double> SolarTrace::period_powers(std::size_t day,
                                               std::size_t period) const {
-  std::vector<double> out(grid_.n_slots);
-  for (std::size_t m = 0; m < grid_.n_slots; ++m) out[m] = at(day, period, m);
-  return out;
+  const std::span<const double> view = period_view(day, period);
+  return {view.begin(), view.end()};
+}
+
+std::span<const double> SolarTrace::period_view(std::size_t day,
+                                                std::size_t period) const {
+  const std::size_t first = grid_.flat_slot(day, period, 0);
+  if (first + grid_.n_slots > power_w_.size())
+    throw std::out_of_range("SolarTrace::period_view: period out of range");
+  return {power_w_.data() + first, grid_.n_slots};
 }
 
 double SolarTrace::period_energy_j(std::size_t day, std::size_t period) const {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "solar/time_grid.hpp"
@@ -33,6 +34,11 @@ class SolarTrace {
 
   /// All N_s slot powers of one period (watts).
   std::vector<double> period_powers(std::size_t day, std::size_t period) const;
+  /// The same N_s powers as a view into the trace, valid while the trace
+  /// lives: no copy, for per-slot callers. Throws std::out_of_range past
+  /// the trace's end.
+  std::span<const double> period_view(std::size_t day,
+                                      std::size_t period) const;
 
   /// Harvested energy over one period (joules).
   double period_energy_j(std::size_t day, std::size_t period) const;

@@ -15,6 +15,8 @@
 #include "campaign/runner.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
+#include "nvp/node_sim.hpp"
+#include "task/benchmarks.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched::sched {
@@ -103,6 +105,36 @@ TEST(Registry, ZooSimulatesBitIdenticallyAcrossThreadCounts) {
     // Full per-period bit-identity, not just the headline numbers.
     EXPECT_EQ(core::to_csv(serial[r].sim), core::to_csv(parallel[r].sim))
         << serial[r].id;
+  }
+}
+
+TEST(Registry, ReusedInstanceMatchesFreshAcrossTracesAndGraphs) {
+  // Policies keep their slot-path scratch as members (DESIGN.md §9), so one
+  // instance run over different traces and graphs — more NVPs, then fewer,
+  // then more again — must reproduce a fresh instance's records exactly.
+  const auto grid = test::small_grid();
+  const auto gen = test::scaled_generator(grid, 9);
+  const auto sunny = gen.generate_day(solar::DayKind::kClear, grid);
+  const auto cloudy = gen.generate_day(solar::DayKind::kPartlyCloudy, grid);
+  const auto node = test::small_node(grid);
+  const task::TaskGraph wam = task::wam_benchmark();
+  const task::TaskGraph small = test::indep3();
+  ASSERT_GT(wam.nvp_count(), small.nvp_count());
+  const std::vector<std::pair<const task::TaskGraph*, const solar::SolarTrace*>>
+      runs = {{&wam, &sunny}, {&small, &cloudy}, {&wam, &cloudy}};
+
+  SchedulerContext ctx;
+  ctx.dp.energy_buckets = 6;  // Keep the Optimal row's DP small.
+  for (const SchedulerInfo& info : Registry::global().entries()) {
+    if (info.needs_controller) continue;
+    const auto reused = info.factory(ctx);
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      const auto& [graph, trace] = runs[r];
+      const auto fresh = info.factory(ctx);
+      EXPECT_EQ(core::to_csv(nvp::simulate(*graph, *trace, *reused, node)),
+                core::to_csv(nvp::simulate(*graph, *trace, *fresh, node)))
+          << info.id << " run " << r;
+    }
   }
 }
 

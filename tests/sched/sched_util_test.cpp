@@ -8,10 +8,26 @@
 namespace solsched::sched {
 namespace {
 
+/// One load-match decision through a fresh scratch, the way a policy's
+/// first slot sees it.
+std::vector<std::size_t> decide(const task::TaskGraph& graph,
+                                const task::PeriodState& state, double now_s,
+                                double dt_s, double target_w,
+                                const std::vector<bool>& must_run = {},
+                                double max_load_w = 1e18) {
+  LoadMatchScratch scratch;
+  std::vector<std::size_t> chosen;
+  state.live_ready_tasks_into(now_s, scratch.live);
+  load_match_decision(graph, state, scratch.live, now_s, dt_s, {}, target_w,
+                      must_run, max_load_w, scratch, chosen);
+  return chosen;
+}
+
 TEST(CandidatesByNvp, SortsEdfPerNvp) {
   const auto graph = test::indep3();  // NVP0: {0 (D150), 2 (D300)}, NVP1: {1}.
   task::PeriodState state(graph);
-  const auto by_nvp = candidates_by_nvp(graph, state, 0.0, {});
+  LoadMatchScratch scratch;
+  const auto& by_nvp = candidates_by_nvp(graph, state, 0.0, {}, scratch);
   ASSERT_EQ(by_nvp.size(), 2u);
   ASSERT_EQ(by_nvp[0].size(), 2u);
   EXPECT_EQ(by_nvp[0][0], 0u);  // Earlier deadline first.
@@ -22,16 +38,43 @@ TEST(CandidatesByNvp, SortsEdfPerNvp) {
 TEST(CandidatesByNvp, RespectsEnabledMask) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto by_nvp =
-      candidates_by_nvp(graph, state, 0.0, {false, true, true});
+  LoadMatchScratch scratch;
+  const auto& by_nvp =
+      candidates_by_nvp(graph, state, 0.0, {false, true, true}, scratch);
   EXPECT_EQ(by_nvp[0], (std::vector<std::size_t>{2}));
 }
 
 TEST(CandidatesByNvp, ExcludesBlockedDependents) {
   const auto graph = test::chain2();
   task::PeriodState state(graph);
-  const auto by_nvp = candidates_by_nvp(graph, state, 0.0, {});
+  LoadMatchScratch scratch;
+  const auto& by_nvp = candidates_by_nvp(graph, state, 0.0, {}, scratch);
   EXPECT_EQ(by_nvp[0], (std::vector<std::size_t>{0}));
+}
+
+TEST(CandidatesByNvp, ScratchFromLargerGraphIsResized) {
+  // A scratch first filled from WAM (more NVPs, more live tasks) must give
+  // the small graph exactly the answer a fresh scratch gives.
+  const auto wam = task::wam_benchmark();
+  task::PeriodState wam_state(wam);
+  LoadMatchScratch scratch;
+  ASSERT_GT(wam.nvp_count(), 2u);
+  ASSERT_EQ(candidates_by_nvp(wam, wam_state, 0.0, {}, scratch).size(),
+            wam.nvp_count());
+
+  const auto graph = test::indep3();
+  task::PeriodState state(graph);
+  LoadMatchScratch fresh;
+  const auto expected = candidates_by_nvp(graph, state, 0.0, {}, fresh);
+  EXPECT_EQ(candidates_by_nvp(graph, state, 0.0, {}, scratch), expected);
+  ASSERT_EQ(expected.size(), 2u);
+
+  // The same reused scratch then drives a load-match decision.
+  std::vector<std::size_t> chosen{99, 98, 97, 96};  // Stale contents.
+  state.live_ready_tasks_into(0.0, scratch.live);
+  load_match_decision(graph, state, scratch.live, 0.0, 30.0, {}, 0.025, {},
+                      1e18, scratch, chosen);
+  EXPECT_EQ(chosen, decide(graph, state, 0.0, 30.0, 0.025));
 }
 
 TEST(LatestStart, DeadlineMinusRemaining) {
@@ -100,8 +143,7 @@ TEST(LoadMatch, PicksClosestCombination) {
   const auto graph = test::indep3();  // Powers 15, 25, 10 mW.
   task::PeriodState state(graph);
   // Target 25 mW: best single-head-per-NVP combo is {0, 2} (=25) or {1}.
-  const auto chosen =
-      load_match_decision(graph, state, 0.0, 30.0, {}, 0.025);
+  const auto chosen = decide(graph, state, 0.0, 30.0, 0.025);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_NEAR(load, 0.025, 1e-9);
@@ -110,7 +152,7 @@ TEST(LoadMatch, PicksClosestCombination) {
 TEST(LoadMatch, ZeroTargetRunsNothingWhenNoPressure) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 0.0);
+  const auto chosen = decide(graph, state, 0.0, 30.0, 0.0);
   EXPECT_TRUE(chosen.empty());
 }
 
@@ -118,15 +160,15 @@ TEST(LoadMatch, ForcedTasksAlwaysIncluded) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
   // At t=90 task 0 (D150, S60) is forced even with zero target.
-  const auto chosen = load_match_decision(graph, state, 90.0, 30.0, {}, 0.0);
+  const auto chosen = decide(graph, state, 90.0, 30.0, 0.0);
   EXPECT_EQ(std::count(chosen.begin(), chosen.end(), 0u), 1);
 }
 
 TEST(LoadMatch, MustRunForcesTask) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 0.0,
-                                          {false, true, false});
+  const auto chosen =
+      decide(graph, state, 0.0, 30.0, 0.0, {false, true, false});
   EXPECT_EQ(chosen, (std::vector<std::size_t>{1}));
 }
 
@@ -135,8 +177,8 @@ TEST(LoadMatch, MaxLoadShedsForced) {
   task::PeriodState state(graph);
   // Force all three but allow only 20 mW: the latest-deadline forced tasks
   // are shed until the set fits.
-  const auto chosen = load_match_decision(graph, state, 0.0, 30.0, {}, 1.0,
-                                          {true, true, true}, 0.020);
+  const auto chosen =
+      decide(graph, state, 0.0, 30.0, 1.0, {true, true, true}, 0.020);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_LE(load, 0.020 + 1e-9);
@@ -147,8 +189,7 @@ TEST(LoadMatch, InfeasibleCombosSkipped) {
   const auto graph = test::indep3();
   task::PeriodState state(graph);
   // Huge target but max load tiny: only combos under the cap are eligible.
-  const auto chosen =
-      load_match_decision(graph, state, 0.0, 30.0, {}, 1.0, {}, 0.012);
+  const auto chosen = decide(graph, state, 0.0, 30.0, 1.0, {}, 0.012);
   double load = 0.0;
   for (auto id : chosen) load += graph.task(id).power_w;
   EXPECT_LE(load, 0.012 + 1e-9);
