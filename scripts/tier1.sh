@@ -16,9 +16,9 @@
 # spec-axis/registry drift), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, plus the concurrency/obs/telemetry/serve/
-# tsdb/sched suites rerun under ThreadSanitizer, the fault suite rerun
-# under UndefinedBehaviorSanitizer, and the simd parity and sched suites
-# rerun under AddressSanitizer+UBSan.
+# tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
+# rerun under UndefinedBehaviorSanitizer, and the simd parity, sched and
+# durable suites rerun under AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -26,13 +26,15 @@
 # full ctest); the scalar phase proves the kernel layer's bit-exactness
 # contract end to end (identical campaign decision fingerprints on the wam
 # and ecg workloads from both builds); the TSan phase rebuilds only to run
-# `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched"` — the label
-# families with real cross-thread traffic; the UBSan phase runs
-# `ctest -L fault` — the injection paths push NaN and out-of-range values
-# through the decoders, exactly where UB would hide; the ASan+UBSan phase
-# runs `ctest -L "simd|sched"` — the vector kernels' tails and pack
-# buffers, and the policies' reused, re-sized slot-path scratch buffers,
-# are exactly where an out-of-bounds read would hide.
+# `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"` — the
+# label families with real cross-thread traffic (durable: concurrent
+# AppendLog appends); the UBSan phase runs `ctest -L fault` — the
+# injection paths push NaN and out-of-range values through the decoders,
+# exactly where UB would hide; the ASan+UBSan phase runs
+# `ctest -L "simd|sched|durable"` — the vector kernels' tails and pack
+# buffers, the policies' reused, re-sized slot-path scratch buffers, and
+# the durable layer's torn-tail scan and truncate/heal buffers are exactly
+# where an out-of-bounds read would hide.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -256,25 +258,28 @@ SOLSCHED_THREADS=1 "$SCALAR_DIR/tools/solsched-campaign" run \
 cmp "$XBUILD_TMP/simd/journal.jsonl" "$XBUILD_TMP/scalar/journal.jsonl"
 echo "scalar and SIMD builds journal bit-identical wam+ecg decisions"
 
-echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched ($TSAN_DIR) =="
+echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable ($TSAN_DIR) =="
 # sched rides along because the registry is consulted concurrently from
 # every comparison job and the zoo suite runs 4-thread sweeps — exactly
-# where a mutable-registry regression would race.
+# where a mutable-registry regression would race. durable rides along for
+# its N-thread AppendLog append test.
 cmake -B "$TSAN_DIR" -S . -DSOLSCHED_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -L "concurrency|obs|telemetry|serve|tsdb|sched"
+  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"
 
 echo "== tier 1: UBSan rerun of fault suite ($UBSAN_DIR) =="
 cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
 
-echo "== tier 1: ASan+UBSan rerun of simd + sched suites ($ASAN_DIR) =="
+echo "== tier 1: ASan+UBSan rerun of simd + sched + durable suites ($ASAN_DIR) =="
 # sched rides along because every policy reuses slot-path scratch buffers
 # re-sized per graph (DESIGN.md §9): a stale size there reads out of bounds.
+# durable rides along for the torn-at-every-byte sweep: the AppendLog tail
+# scan and replay_lines slice buffers at every truncation offset.
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
-ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L "simd|sched"
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L "simd|sched|durable"
 
 echo "tier 1 passed"

@@ -1,15 +1,11 @@
 #include "campaign/artifact_cache.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/controller_io.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 
@@ -30,15 +26,12 @@ std::string ArtifactCache::path_of(std::uint64_t key) const {
 
 bool ArtifactCache::load(std::uint64_t key, core::TrainedController* out) const {
   const std::string path = path_of(key);
-  std::ifstream file(path);
-  if (!file) return false;
-  std::ostringstream text;
-  text << file.rdbuf();
+  if (!std::filesystem::exists(path)) return false;
   try {
-    *out = core::deserialize_controller(text.str());
+    *out = core::deserialize_controller(util::read_file(path));
   } catch (const std::exception& e) {
-    // A corrupt entry is a miss, not a fatal error: the caller retrains and
-    // store() replaces the file atomically.
+    // An unreadable or corrupt entry is a miss, not a fatal error: the
+    // caller retrains and store() replaces the file atomically.
     std::fprintf(stderr, "solsched-campaign: discarding corrupt artifact %s (%s)\n",
                  path.c_str(), e.what());
     return false;
@@ -48,26 +41,9 @@ bool ArtifactCache::load(std::uint64_t key, core::TrainedController* out) const 
 
 void ArtifactCache::store(std::uint64_t key,
                           const core::TrainedController& controller) const {
-  const std::string path = path_of(key);
-  const std::string tmp = path + ".tmp";
-  const std::string text = core::serialize_controller(controller);
-  {
-    std::ofstream file(tmp, std::ios::trunc);
-    if (!file || !(file << text) || !file.flush())
-      throw std::runtime_error("ArtifactCache: cannot write " + tmp);
-  }
-  // fsync the finished tmp file before rename: rename-then-crash must never
-  // publish an empty or partially flushed artifact under the final name.
-  const int fd = ::open(tmp.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw std::runtime_error("ArtifactCache: cannot rename " + tmp + ": " +
-                             ec.message());
+  // A crash mid-store must never publish a half-artifact under the final
+  // name.
+  util::write_atomic(path_of(key), core::serialize_controller(controller));
 }
 
 }  // namespace solsched::campaign

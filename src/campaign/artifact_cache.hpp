@@ -5,8 +5,8 @@
 // not once per scenario — in the paper's grids the offline pipeline is by
 // far the dominant cost. The cache key is a 64-bit FNV-1a digest built from
 // the PR-4 NodeConfig digest plus the workload and every training knob; the
-// value is the core::serialize_controller bundle, written atomically
-// (tmp + fsync + rename) so a crash mid-store never leaves a readable
+// value is the core::serialize_controller bundle, written through
+// util::write_atomic so a crash mid-store never leaves a readable
 // half-artifact.
 //
 // Determinism note: the campaign runner uses the *deserialized* controller
@@ -35,8 +35,8 @@ class ArtifactCache {
   /// caller retrains and overwrites), with a one-line stderr warning.
   bool load(std::uint64_t key, core::TrainedController* out) const;
 
-  /// Atomically stores `controller` under `key` (tmp file, fsync, rename).
-  /// Throws std::runtime_error on I/O failure.
+  /// Atomically stores `controller` under `key` (util::write_atomic).
+  /// Throws util::IoError on I/O failure, leaving no .tmp behind.
   void store(std::uint64_t key, const core::TrainedController& controller) const;
 
   /// The entry path for `key`: <dir>/<016x-hex>.controller.

@@ -1,16 +1,12 @@
 #include "campaign/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 namespace {
@@ -25,12 +21,12 @@ std::string render_double(double value) {
 
 std::string render_u64(std::uint64_t value) { return std::to_string(value); }
 
-/// Quoted 16-digit hex. Full-width u64 values (hashes, fingerprints) go
-/// through strings because a JSON number round-trips via double and loses
-/// bits above 2^53.
-std::string render_hex64(std::uint64_t value) {
+/// 16-digit hex. Full-width u64 values (hashes, fingerprints) go through
+/// JSON strings because a JSON number round-trips via double and loses bits
+/// above 2^53.
+std::string hex64(std::uint64_t value) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "\"%016llx\"",
+  std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
 }
@@ -65,7 +61,7 @@ std::string ShardRecord::to_json() const {
   out += ", \"artifact_key\": " + render_u64(artifact_key);
   out += ", \"artifact_hit\": ";
   out += artifact_hit ? "true" : "false";
-  out += ", \"controller_fp\": " + render_hex64(controller_fingerprint);
+  out += ", \"controller_fp\": \"" + hex64(controller_fingerprint) + "\"";
   out += ", \"rows\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ShardRow& r = rows[i];
@@ -88,47 +84,30 @@ std::string ShardRecord::to_json() const {
 
 Journal::Recovered Journal::load(const std::string& path,
                                  std::uint64_t expected_spec_digest) {
-  std::ifstream file(path);
-  if (!file) fail(path, "cannot open");
   Recovered out;
-  std::string line;
-  std::size_t line_no = 0;
   bool header_seen = false;
-  // A crash can only truncate the *last* line (appends are sequential and
-  // fsync'd), so a parse failure is forgiven exactly once, at EOF.
-  std::vector<std::pair<std::size_t, std::string>> failed;
-  while (std::getline(file, line)) {
-    ++line_no;
-    if (line.empty()) continue;
+  const auto parse = [&](std::string_view line, std::size_t line_no) {
     obs::analysis::JsonValue doc;
     try {
-      doc = obs::analysis::parse_json(line);
-    } catch (const std::exception& e) {
-      failed.emplace_back(line_no, e.what());
-      continue;
+      doc = obs::analysis::parse_json(std::string(line));
+    } catch (const std::exception&) {
+      return false;
     }
-    if (!failed.empty())
-      fail(path, "malformed line " + std::to_string(failed.front().first) +
-                     " before valid line " + std::to_string(line_no) + " (" +
-                     failed.front().second + ")");
     if (!doc.is_object()) fail(path, "line " + std::to_string(line_no) +
                                          " is not an object");
     if (!header_seen) {
       if (doc.string_or("journal") != kMagic)
         fail(path, "missing or unknown header (expected \"" +
                        std::string(kMagic) + "\")");
-      if (expected_spec_digest != 0) {
-        const std::string digest = require_string(doc, "spec_digest", path);
-        char expect[32];
-        std::snprintf(expect, sizeof(expect), "%016llx",
-                      static_cast<unsigned long long>(expected_spec_digest));
-        if (digest != expect)
-          fail(path, "spec digest mismatch: journal has " + digest +
-                         ", campaign spec is " + expect +
-                         " (refusing to mix results of different grids)");
-      }
+      const std::string expect = hex64(expected_spec_digest);
+      if (expected_spec_digest != 0 &&
+          require_string(doc, "spec_digest", path) != expect)
+        fail(path, "spec digest mismatch: journal has " +
+                       doc.string_or("spec_digest") + ", campaign spec is " +
+                       expect +
+                       " (refusing to mix results of different grids)");
       header_seen = true;
-      continue;
+      return true;
     }
     ShardRecord rec;
     rec.shard = static_cast<std::size_t>(require_number(doc, "shard", path));
@@ -164,18 +143,12 @@ Journal::Recovered Journal::load(const std::string& path,
       rec.rows.push_back(std::move(r));
     }
     out.records.push_back(std::move(rec));
-  }
-  if (!header_seen && !failed.empty()) {
-    // Even the header can be cut short by a crash between open and fsync.
-    out.dropped_partial = failed.size();
-    failed.clear();
-  }
-  if (!failed.empty()) {
-    if (failed.size() > 1)
-      fail(path, "multiple malformed lines (first at line " +
-                     std::to_string(failed.front().first) + ")");
-    out.dropped_partial = 1;  // The crash-truncated tail; recoverable.
-  }
+    return true;
+  };
+  // A crash can only tear the *last* line (appends are sequential and
+  // fsync'd); util::replay_lines forgives exactly that one.
+  out.dropped_partial =
+      util::replay_lines(util::read_file(path), "journal " + path, parse);
   std::sort(out.records.begin(), out.records.end(),
             [](const ShardRecord& a, const ShardRecord& b) {
               return a.shard < b.shard;
@@ -188,62 +161,12 @@ Journal::Recovered Journal::load(const std::string& path,
 }
 
 Journal::Journal(const std::string& path, std::uint64_t spec_digest)
-    : path_(path) {
-  // Heal a crash-torn tail before appending. Every complete record ends in
-  // '\n', so bytes after the last newline are a partial line; appending onto
-  // them would glue the next record into unparseable mid-file garbage.
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (probe) {
-      std::ostringstream buf;
-      buf << probe.rdbuf();
-      const std::string bytes = buf.str();
-      const std::size_t cut = bytes.find_last_of('\n');
-      if (!bytes.empty() && cut != bytes.size() - 1) {
-        const off_t keep =
-            cut == std::string::npos ? 0 : static_cast<off_t>(cut + 1);
-        if (::truncate(path.c_str(), keep) != 0)
-          fail(path, "cannot truncate torn tail");
-      }
-    }
-  }
-  const bool fresh = [&] {
-    std::ifstream probe(path);
-    return !probe || probe.peek() == std::ifstream::traits_type::eof();
-  }();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) fail(path, "cannot open for append");
-  if (fresh) {
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(spec_digest));
-    const std::string header = "{\"journal\": \"" + std::string(kMagic) +
-                               "\", \"spec_digest\": \"" + digest + "\"}\n";
-    const char* error = nullptr;
-    if (::write(fd_, header.data(), header.size()) !=
-        static_cast<ssize_t>(header.size()))
-      error = "cannot write header";
-    else if (::fsync(fd_) != 0)
-      error = "fsync failed";
-    if (error != nullptr) {
-      ::close(fd_);  // The destructor does not run for a throwing ctor.
-      fd_ = -1;
-      fail(path, error);
-    }
-  }
-}
-
-Journal::~Journal() {
-  if (fd_ >= 0) ::close(fd_);
-}
+    : log_(path, "{\"journal\": \"" + std::string(kMagic) +
+                     "\", \"spec_digest\": \"" + hex64(spec_digest) +
+                     "\"}\n") {}
 
 void Journal::append(const ShardRecord& record) {
-  const std::string line = record.to_json() + "\n";
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (::write(fd_, line.data(), line.size()) !=
-      static_cast<ssize_t>(line.size()))
-    fail(path_, "short write");
-  if (::fsync(fd_) != 0) fail(path_, "fsync failed");
+  log_.append(record.to_json() + "\n", /*sync=*/true);
 }
 
 }  // namespace solsched::campaign

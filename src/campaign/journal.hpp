@@ -16,9 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 
@@ -67,32 +68,25 @@ class Journal {
 
   /// Parses an existing journal. `expected_spec_digest` must match the
   /// header (pass 0 to skip the check, e.g. for report-only consumers).
-  /// A truncated final line is dropped and counted; any other malformation
-  /// (bad header, garbage mid-file, duplicate shard ids) throws
-  /// std::runtime_error. Throws on unreadable files too; use
+  /// A torn final line is dropped and counted (util::replay_lines); any
+  /// other malformation (bad header, garbage mid-file, duplicate shard ids)
+  /// throws std::runtime_error. Throws on unreadable files too; use
   /// std::filesystem::exists to probe first.
   static Recovered load(const std::string& path,
                         std::uint64_t expected_spec_digest);
 
-  /// Opens `path` for appending, first truncating any crash-torn partial
-  /// final line (bytes past the last '\n') so new records never glue onto
-  /// it, then writing (and fsync'ing) the header line when the file is new
-  /// or empty. Throws std::runtime_error on I/O error.
+  /// Opens `path` as a util::AppendLog: a crash-torn partial final line
+  /// is truncated so new records never glue onto it, and a new or empty
+  /// file gets the (fsync'd) header line. Throws util::IoError on I/O
+  /// error.
   Journal(const std::string& path, std::uint64_t spec_digest);
-  ~Journal();
 
-  Journal(const Journal&) = delete;
-  Journal& operator=(const Journal&) = delete;
-
-  /// Appends one record and fsyncs. Safe to call from pool workers.
+  /// Appends one record with one write() and one fsync. Safe to call from
+  /// pool workers.
   void append(const ShardRecord& record);
 
-  const std::string& path() const noexcept { return path_; }
-
  private:
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
+  util::AppendLog log_;
 };
 
 }  // namespace solsched::campaign

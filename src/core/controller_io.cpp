@@ -1,8 +1,11 @@
 #include "core/controller_io.hpp"
 
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/report.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::core {
 
@@ -121,19 +124,13 @@ TrainedController deserialize_controller(const std::string& text) {
 
 bool save_controller(const TrainedController& controller,
                      const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << serialize_controller(controller);
-  return static_cast<bool>(file);
+  return write_text_file(path, serialize_controller(controller));
 }
 
 TrainedController load_controller(const std::string& path) {
-  std::ifstream file(path);
-  if (!file)
+  if (!std::filesystem::exists(path))
     throw std::invalid_argument("load_controller: cannot open " + path);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return deserialize_controller(buffer.str());
+  return deserialize_controller(util::read_file(path));
 }
 
 }  // namespace solsched::core

@@ -21,8 +21,8 @@ std::string serialize_controller(const TrainedController& controller);
 /// defaults. Throws std::invalid_argument on malformed input.
 TrainedController deserialize_controller(const std::string& text);
 
-/// File convenience wrappers; save returns false on I/O failure, load
-/// throws on I/O failure or parse errors.
+/// File convenience wrappers; save (atomic) returns false on I/O failure,
+/// load throws on I/O failure or parse errors.
 bool save_controller(const TrainedController& controller,
                      const std::string& path);
 TrainedController load_controller(const std::string& path);

@@ -1,11 +1,11 @@
 #include "core/report.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <string_view>
 
 #include "obs/analysis/attribution.hpp"
 #include "util/csv.hpp"
+#include "util/durable.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -183,10 +183,12 @@ std::string resilience_table(const std::vector<ResiliencePoint>& points) {
 }
 
 bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << content;
-  return static_cast<bool>(file);
+  try {
+    util::write_atomic(path, content);
+  } catch (const util::IoError&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace solsched::core

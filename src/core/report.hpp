@@ -35,7 +35,7 @@ std::string resilience_table(const std::vector<ResiliencePoint>& points);
 /// a run that asked for metrics never reports silence.
 std::string metrics_report(const obs::MetricsSnapshot& snapshot);
 
-/// Writes `content` to `path`; returns false on I/O failure.
+/// util::write_atomic(path, content); returns false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);
 
 }  // namespace solsched::core

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +17,7 @@
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/analysis/timeline.hpp"
 #include "obs/sim_trace.hpp"
+#include "util/durable.hpp"
 #include "util/table.hpp"
 
 namespace solsched::obs::analysis {
@@ -66,13 +65,7 @@ constexpr const char* kUsage =
     ".csv is read as long-format CSV. exit codes: 0 ok, 1 check failed,\n"
     "2 usage or I/O error.\n";
 
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot read " + path);
-  std::ostringstream body;
-  body << file.rdbuf();
-  return body.str();
-}
+using util::read_file;
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -275,11 +268,7 @@ int cmd_profile(const std::string& trace_path, const std::string& folded_out) {
   const SpanProfile profile = profile_trace(read_file(trace_path));
   std::printf("%s", profile_table(profile).c_str());
   if (!folded_out.empty()) {
-    std::ofstream out(folded_out, std::ios::binary);
-    if (!out) throw std::runtime_error("cannot write " + folded_out);
-    out << folded_stacks(profile);
-    if (!out.flush())
-      throw std::runtime_error("cannot write " + folded_out);
+    util::write_atomic(folded_out, folded_stacks(profile));
     std::printf("folded stacks (%zu paths) -> %s\n", profile.folded.size(),
                 folded_out.c_str());
   }

@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
 #include "obs/metrics.hpp"
+#include "util/durable.hpp"
 
 // POSIX environment vector; scanned for SOLSCHED_* knobs.
 extern char** environ;
@@ -163,9 +162,7 @@ std::string manifest_json(const ManifestInfo& info) {
 }
 
 void write_manifest(const std::string& path, const ManifestInfo& info) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot write manifest: " + path);
-  file << manifest_json(info);
+  util::write_atomic(path, manifest_json(info));
 }
 
 }  // namespace solsched::obs::analysis

@@ -44,8 +44,8 @@ std::uint64_t node_config_digest(const nvp::NodeConfig& config);
 /// include_metrics — the global metrics registry.
 std::string manifest_json(const ManifestInfo& info);
 
-/// Writes manifest_json(info) to `path`. Throws std::runtime_error when the
-/// file cannot be written.
+/// Writes manifest_json(info) to `path` through util::write_atomic. Throws
+/// util::IoError (a std::runtime_error) when the file cannot be written.
 void write_manifest(const std::string& path, const ManifestInfo& info);
 
 }  // namespace solsched::obs::analysis

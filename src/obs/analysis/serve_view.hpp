@@ -1,6 +1,6 @@
 // Reader/renderer side of the solsched-serve status file (DESIGN.md §16).
 //
-// serve::Server rewrites status.json (tmp -> rename) on a fixed cadence;
+// serve::Server rewrites status.json (util::write_atomic) on a fixed cadence;
 // this module is the consumer: `solsched-inspect serve` does a one-shot
 // render with a staleness verdict. Kept in obs/analysis (not serve) because
 // it depends only on json_mini and must stay usable when the daemon is a

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
@@ -185,28 +186,14 @@ std::map<std::string, std::size_t> TelemetryLog::census() const {
 
 TelemetryLog load_telemetry(const std::string& text) {
   TelemetryLog out;
-  std::istringstream stream(text);
-  std::string line;
-  std::size_t line_no = 0;
   bool header_seen = false;
-  // Same forgiveness contract as the Journal: appends are sequential and
-  // fsync'd, so only the *last* line can be torn by a crash.
-  std::vector<std::pair<std::size_t, std::string>> failed;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    if (line.empty()) continue;
+  const auto parse = [&](std::string_view line, std::size_t line_no) {
     JsonValue doc;
     try {
-      doc = parse_json(line);
-    } catch (const std::exception& e) {
-      failed.emplace_back(line_no, e.what());
-      continue;
+      doc = parse_json(std::string(line));
+    } catch (const std::exception&) {
+      return false;
     }
-    if (!failed.empty())
-      throw std::runtime_error(
-          "telemetry.jsonl: malformed line " +
-          std::to_string(failed.front().first) + " before valid line " +
-          std::to_string(line_no) + " (" + failed.front().second + ")");
     if (!doc.is_object())
       throw std::runtime_error("telemetry.jsonl: line " +
                                std::to_string(line_no) + " is not an object");
@@ -217,7 +204,7 @@ TelemetryLog load_telemetry(const std::string& text) {
             std::string(kTelemetryMagic) + "\")");
       out.spec_digest = doc.string_or("spec_digest");
       header_seen = true;
-      continue;
+      return true;
     }
     TelemetryLine entry;
     entry.seq = static_cast<std::uint64_t>(doc.number_or("seq"));
@@ -231,19 +218,11 @@ TelemetryLog load_telemetry(const std::string& text) {
     entry.workload = doc.string_or("workload");
     entry.detail = doc.string_or("detail");
     out.lines.push_back(std::move(entry));
-  }
-  if (!header_seen && !failed.empty()) {
-    // Even the header can be cut short by a crash between open and fsync.
-    out.dropped_partial = failed.size();
-    failed.clear();
-  }
-  if (!failed.empty()) {
-    if (failed.size() > 1)
-      throw std::runtime_error(
-          "telemetry.jsonl: multiple malformed lines (first at line " +
-          std::to_string(failed.front().first) + ")");
-    out.dropped_partial = 1;  // The crash-truncated tail; recoverable.
-  }
+    return true;
+  };
+  // Same forgiveness contract as the Journal: appends are sequential, so
+  // only the *last* line can be torn by a crash.
+  out.dropped_partial = util::replay_lines(text, "telemetry.jsonl", parse);
   return out;
 }
 

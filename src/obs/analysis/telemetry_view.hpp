@@ -91,7 +91,7 @@ struct TelemetryLog {
   std::map<std::string, std::size_t> census() const;
 };
 
-/// Parses the full telemetry.jsonl text. Like the Journal reader, a parse
+/// Parses the full telemetry.jsonl text with util::replay_lines: a parse
 /// failure is forgiven only on the final line (crash-torn tail); malformed
 /// mid-file lines throw std::runtime_error.
 TelemetryLog load_telemetry(const std::string& text);

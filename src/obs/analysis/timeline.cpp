@@ -3,23 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("timeline: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Trace ids travel as "0x<hex>" strings (a JSON number would round u64
 /// ids through a double). 0 on anything else.
@@ -50,7 +41,7 @@ Timeline load_timeline(const std::vector<std::string>& paths) {
   Timeline timeline;
   for (std::size_t file_index = 0; file_index < paths.size(); ++file_index) {
     const std::string& path = paths[file_index];
-    const JsonValue doc = parse_json(read_file(path));
+    const JsonValue doc = parse_json(util::read_file(path));
     const JsonValue* events = doc.find("traceEvents");
     if (events == nullptr || !events->is_array())
       throw std::runtime_error("timeline: " + path +

@@ -1,26 +1,17 @@
 #include "obs/telemetry.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::obs {
 namespace {
 
 constexpr const char* kMagic = "solsched-campaign-telemetry-v1";
 constexpr const char* kStatusMagic = "solsched-campaign-status-v1";
-
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw std::runtime_error("telemetry " + path + ": " + what);
-}
 
 // obs is a leaf library — it cannot pull obs/analysis::json_escape — so the
 // bus carries its own minimal escaper for the few free-form fields it emits.
@@ -74,42 +65,19 @@ std::string TelemetryEvent::to_json() const {
   return out;
 }
 
-TelemetryBus::TelemetryBus(Options options) : options_(std::move(options)) {
-  const std::string path = options_.dir + "/telemetry.jsonl";
-  // Heal a crash-torn tail before appending, exactly like the Journal: a
-  // kill mid-write leaves a partial final line, and appending onto it would
-  // glue the next event into mid-file garbage.
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (probe) {
-      std::ostringstream buf;
-      buf << probe.rdbuf();
-      const std::string bytes = buf.str();
-      const std::size_t cut = bytes.find_last_of('\n');
-      if (!bytes.empty() && cut != bytes.size() - 1) {
-        const off_t keep =
-            cut == std::string::npos ? 0 : static_cast<off_t>(cut + 1);
-        if (::truncate(path.c_str(), keep) != 0)
-          fail(path, "cannot truncate torn tail");
-      }
-    }
-  }
-  const bool fresh = [&] {
-    std::ifstream probe(path);
-    return !probe || probe.peek() == std::ifstream::traits_type::eof();
-  }();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd_ < 0) fail(path, "cannot open for append");
+TelemetryBus::TelemetryBus(Options options)
+    : options_(std::move(options)),
+      // Opening heals a crash-torn tail exactly like the Journal: a kill
+      // mid-write leaves a partial final line, and appending onto it would
+      // glue the next event into mid-file garbage.
+      log_(options_.dir + "/telemetry.jsonl",
+           "{\"telemetry\": \"" + std::string(kMagic) +
+               "\", \"spec_digest\": \"" + escape(options_.spec_digest) +
+               "\"}\n") {
   start_us_ = now_us();
   start_wall_ms_ = wall_now_ms();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fresh) {
-      const std::string header = "{\"telemetry\": \"" + std::string(kMagic) +
-                                 "\", \"spec_digest\": \"" +
-                                 escape(options_.spec_digest) + "\"}\n";
-      append_line_locked(header, /*sync=*/true);
-    }
     write_status_locked();
   }
   if (options_.heartbeat_ms > 0)
@@ -123,8 +91,10 @@ TelemetryBus::~TelemetryBus() {
   }
   cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // This may run while an exception unwinds, so an I/O failure here is
+  // reported, not thrown.
+  try {
     if (!finish_seen_) {
       // Destroyed while unwinding an exception: the run did not reach its
       // finish line. Record that so watchers can exit non-zero.
@@ -133,19 +103,10 @@ TelemetryBus::~TelemetryBus() {
                      /*sync=*/true);
     }
     write_status_locked();
+  } catch (const util::IoError& e) {
+    std::fprintf(stderr, "solsched-campaign: warning: telemetry: %s\n",
+                 e.what());
   }
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void TelemetryBus::append_line_locked(const std::string& line, bool sync) {
-  const std::string path = options_.dir + "/telemetry.jsonl";
-  if (::write(fd_, line.data(), line.size()) !=
-      static_cast<ssize_t>(line.size()))
-    fail(path, "short write");
-  // fsync batches: syncing here flushes every pending per-shard event too,
-  // so durability lags by at most one heartbeat interval while the shard
-  // hot path pays only a buffered write().
-  if (sync && ::fsync(fd_) != 0) fail(path, "fsync failed");
 }
 
 void TelemetryBus::publish_locked(std::string type, std::uint64_t shard,
@@ -158,7 +119,10 @@ void TelemetryBus::publish_locked(std::string type, std::uint64_t shard,
   ev.shard = shard;
   ev.workload = std::move(workload);
   ev.detail = std::move(detail);
-  append_line_locked(ev.to_json() + "\n", sync);
+  // fsync batches: syncing here flushes every pending per-shard event too,
+  // so durability lags by at most one heartbeat interval while the shard
+  // hot path pays only a buffered write().
+  log_.append(ev.to_json() + "\n", sync);
   OBS_COUNTER_ADD("campaign.telemetry.events", 1);
 }
 
@@ -378,22 +342,8 @@ std::string TelemetryBus::status_json_locked() const {
 }
 
 void TelemetryBus::write_status_locked() {
-  const std::string body = status_json_locked();
-  const std::string path = options_.dir + "/status.json";
-  const std::string tmp = path + ".tmp";
-  // tmp → fsync → rename: a watcher never sees a torn snapshot.
-  {
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) fail(path, "cannot open tmp for status");
-    const bool ok =
-        ::write(fd, body.data(), body.size()) ==
-            static_cast<ssize_t>(body.size()) &&
-        ::fsync(fd) == 0;
-    ::close(fd);
-    if (!ok) fail(path, "cannot write status tmp");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    fail(path, "cannot rename status into place");
+  // A watcher never sees a torn snapshot.
+  util::write_atomic(options_.dir + "/status.json", status_json_locked());
 }
 
 void TelemetryBus::write_status() {

@@ -6,14 +6,14 @@
 //  * telemetry.jsonl — an append-only stream of per-shard lifecycle events
 //    (claimed / train-start / train-cache-hit / sim-start / done / failed),
 //    monotonic heartbeats and stall flags. Every line is write()n to the
-//    O_APPEND fd immediately (readers see it through the page cache), but
+//    AppendLog immediately (readers see it through the page cache), but
 //    fsync is batched: lifecycle boundaries (start/finish/stop/failed),
 //    stall flags and heartbeat ticks sync; per-shard events ride the next
 //    batch. A process kill can therefore tear at most the final line —
 //    which a reopened bus heals exactly like Journal — and a kernel crash
 //    loses at most one heartbeat interval of observational events (the
 //    fsync'd Journal remains the ground truth for results).
-//  * status.json — a periodically rewritten (tmp → rename, never torn)
+//  * status.json — a periodically rewritten (util::write_atomic, never torn)
 //    snapshot: shards done/total, per-workload ETA from observed shard
 //    durations, artifact-cache hit rate, throughput in shards/min, and the
 //    campaign state (running/stopped/finished/failed). `solsched-campaign
@@ -45,6 +45,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/durable.hpp"
 
 namespace solsched::obs {
 
@@ -96,11 +98,10 @@ class TelemetryBus {
     std::uint64_t events = 0; ///< Lines appended to telemetry.jsonl.
   };
 
-  /// Opens (or resumes) <dir>/telemetry.jsonl — healing a crash-torn tail
-  /// exactly like Journal, then appending a header line when the file is
-  /// fresh — writes an initial "running" status.json, and starts the
-  /// watchdog thread when heartbeat_ms > 0. Throws std::runtime_error on
-  /// I/O failure.
+  /// Opens (or resumes) <dir>/telemetry.jsonl — a util::AppendLog, so a
+  /// crash-torn tail heals and a fresh file gets the header line — writes
+  /// an initial "running" status.json, and starts the watchdog thread when
+  /// heartbeat_ms > 0. Throws util::IoError on I/O failure.
   explicit TelemetryBus(Options options);
   /// Stops the watchdog and writes the final status.json. A bus destroyed
   /// without campaign_finish() records state "failed" (the run unwound
@@ -128,7 +129,7 @@ class TelemetryBus {
   /// a heartbeat event, flags stalled shards, rewrites status.json.
   void tick();
 
-  /// Rewrites <dir>/status.json atomically (tmp → rename).
+  /// Rewrites <dir>/status.json atomically (util::write_atomic).
   void write_status();
 
   /// Current snapshot JSON (the exact bytes write_status persists).
@@ -153,7 +154,6 @@ class TelemetryBus {
     std::size_t timed = 0;         ///< Shards contributing to dur_us_sum.
   };
 
-  void append_line_locked(const std::string& line, bool sync);
   void publish_locked(std::string type, std::uint64_t shard,
                       std::string workload, std::string detail,
                       bool sync = false);
@@ -169,7 +169,7 @@ class TelemetryBus {
   bool stop_ = false;
   std::thread watchdog_;
 
-  int fd_ = -1;
+  util::AppendLog log_;
   std::uint64_t seq_ = 0;
   std::uint64_t start_us_ = 0;       ///< steady now_us() at construction.
   std::uint64_t start_wall_ms_ = 0;

@@ -1,14 +1,14 @@
 #include "obs/tsdb.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <string_view>
+
+#include "util/durable.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -100,7 +100,7 @@ struct LineCursor {
   }
 };
 
-bool parse_point_line(const std::string& line, TimeseriesPoint* out) {
+bool parse_point_line(std::string_view line, TimeseriesPoint* out) {
   LineCursor cur{line.data(), line.data() + line.size()};
   out->values.clear();
   if (!cur.literal("{\"t\":") || !cur.u64(&out->wall_ms) ||
@@ -193,59 +193,41 @@ const TimeseriesPoint& TimeseriesStore::at(std::size_t i) const {
 }
 
 bool TimeseriesStore::write_jsonl(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return false;
-  std::string line;
-  bool ok = true;
-  for (std::size_t i = 0; i < count_ && ok; ++i) {
+  std::string text;
+  for (std::size_t i = 0; i < count_; ++i) {
     const TimeseriesPoint& point = at(i);
-    line = "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
+    text += "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
     for (std::size_t k = 0; k < point.values.size(); ++k) {
-      if (k) line += ',';
-      append_json_string(line, point.values[k].first);
-      line += ':';
-      line += fmt_double(point.values[k].second);
+      if (k) text += ',';
+      append_json_string(text, point.values[k].first);
+      text += ':';
+      text += fmt_double(point.values[k].second);
     }
-    line += "}}\n";
-    ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
+    text += "}}\n";
   }
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
+  try {
+    util::write_atomic(path, text);
+  } catch (const util::IoError&) {
     return false;
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return true;
 }
 
 bool TimeseriesStore::read_jsonl(const std::string& path,
                                  std::vector<TimeseriesPoint>* out,
                                  std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open " + path;
-    return false;
-  }
   out->clear();
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    TimeseriesPoint point;
-    if (!parse_point_line(line, &point)) {
-      // A torn final line is the signature of a crash mid-write in a
-      // predecessor generation; heal by dropping it. Malformed lines with
-      // valid lines after them mean real corruption.
-      if (in.peek() == std::char_traits<char>::eof()) return true;
-      if (error)
-        *error = path + ": malformed point at line " +
-                 std::to_string(line_no);
-      return false;
-    }
-    out->push_back(std::move(point));
+  try {
+    util::replay_lines(util::read_file(path), path,
+                       [&](std::string_view line, std::size_t) {
+                         TimeseriesPoint point;
+                         if (!parse_point_line(line, &point)) return false;
+                         out->push_back(std::move(point));
+                         return true;
+                       });
+  } catch (const std::runtime_error& e) {  // IoError or ReplayError.
+    if (error) *error = e.what();
+    return false;
   }
   return true;
 }

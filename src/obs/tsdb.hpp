@@ -18,10 +18,10 @@
 // callers gate construction on obs::enabled() so an obs-off run never
 // allocates a store at all.
 //
-// Persistence is one JSONL line per point, written whole-ring to a temp
-// file, fsync'd and renamed — the same never-torn contract as status.json.
-// The reader forgives exactly one torn final line (a crash mid-rename of a
-// predecessor's write), mirroring telemetry_view's torn-tail policy.
+// Persistence is one JSONL line per point, the whole ring written through
+// util::write_atomic — the same never-torn contract as status.json. The
+// reader forgives exactly one torn final line (util::replay_lines), the
+// torn-tail policy of every other JSONL reader.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +58,13 @@ class TimeseriesStore {
   /// Points oldest-first; `i` < size().
   const TimeseriesPoint& at(std::size_t i) const;
 
-  /// Serializes the ring oldest-first as JSONL, tmp -> fsync -> rename.
-  /// False on I/O failure (the target file is left untouched).
+  /// Serializes the ring oldest-first as JSONL through util::write_atomic.
+  /// False on I/O failure (the target file is left untouched, no .tmp).
   bool write_jsonl(const std::string& path) const;
 
-  /// Reads a write_jsonl() file. A torn final line (crash between write
-  /// and rename of a previous generation) is dropped, not an error; any
-  /// earlier malformed line is. On failure returns false with *error set.
+  /// Reads a write_jsonl() file. A torn final line is dropped, not an
+  /// error; any earlier malformed line is. On failure returns false with
+  /// *error set.
   static bool read_jsonl(const std::string& path,
                          std::vector<TimeseriesPoint>* out,
                          std::string* error);

@@ -16,6 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::serve {
 namespace {
@@ -854,38 +855,17 @@ void Server::observe_tick() {
 
 void Server::write_status(const std::string& state) const {
   if (options_.status_path.empty()) return;
-  const std::string tmp = options_.status_path + ".tmp";
-  const std::string text = status_json(state);
-  // Every step is checked: a status file is either the complete new
-  // snapshot or the previous one, never a short write, and a failed
-  // attempt leaves no stale .tmp behind.
-  const char* failed = nullptr;
-  int error = 0;
-  const auto fail = [&](const char* step) {
-    if (failed != nullptr) return;
-    failed = step;
-    error = errno;
-  };
-  FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) {
-    fail("fopen");
-  } else {
-    if (std::fwrite(text.data(), 1, text.size(), file) != text.size())
-      fail("fwrite");
-    else if (std::fflush(file) != 0)
-      fail("fflush");
-    else if (::fsync(::fileno(file)) != 0)
-      fail("fsync");
-    if (std::fclose(file) != 0) fail("fclose");
-    if (failed == nullptr &&
-        std::rename(tmp.c_str(), options_.status_path.c_str()) != 0)
-      fail("rename");
-    if (failed != nullptr) std::remove(tmp.c_str());
+  // A status file is either the complete new snapshot or the previous one;
+  // a failed attempt leaves no stale .tmp behind and never stops serving.
+  try {
+    util::write_atomic(options_.status_path, status_json(state));
+  } catch (const util::IoError& e) {
+    if (!status_warned_.exchange(true))
+      std::fprintf(stderr,
+                   "solsched-serve: writing status %s failed at %s: %s\n",
+                   options_.status_path.c_str(), e.step().c_str(),
+                   std::strerror(e.error_number()));
   }
-  if (failed != nullptr && !status_warned_.exchange(true))
-    std::fprintf(stderr,
-                 "solsched-serve: writing status %s failed at %s: %s\n",
-                 options_.status_path.c_str(), failed, std::strerror(error));
 }
 
 void Server::status_main() {

@@ -25,8 +25,8 @@
 //    is disconnected;
 //  * a connection closes only after every query it got into the queue has
 //    been answered;
-//  * one status thread rewrites status.json (tmp → rename, never torn) on
-//    a fixed cadence and a final "stopped" snapshot on shutdown.
+//  * one status thread rewrites status.json (util::write_atomic, never
+//    torn) on a fixed cadence and a final "stopped" snapshot on shutdown.
 //
 // Every reply to a query passes the optional ServeFaultPlan hook
 // (drop/delay/corrupt), which the adversarial client tests drive. A delay

@@ -1,8 +1,9 @@
 #include "util/csv.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "util/durable.hpp"
 
 namespace solsched::util {
 namespace {
@@ -53,10 +54,12 @@ std::string CsvWriter::str() const {
 }
 
 bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return false;
-  file << str();
-  return static_cast<bool>(file);
+  try {
+    write_atomic(path, str());
+  } catch (const IoError&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace solsched::util

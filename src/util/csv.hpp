@@ -21,7 +21,7 @@ class CsvWriter {
   /// Serializes all rows.
   std::string str() const;
 
-  /// Writes to `path`; returns false on I/O failure.
+  /// Writes to `path` through write_atomic; false on I/O failure.
   bool write_file(const std::string& path) const;
 
  private:

@@ -10,6 +10,7 @@
 #include "../test_helpers.hpp"
 #include "core/controller_io.hpp"
 #include "core/pipeline.hpp"
+#include "util/durable.hpp"
 
 namespace solsched::campaign {
 namespace {
@@ -79,6 +80,34 @@ TEST(ArtifactCache, KeyedPathsAreStable) {
 
 TEST(ArtifactCache, UnwritableDirectoryThrows) {
   EXPECT_THROW(ArtifactCache("/proc/no_such_dir_xyz"), std::runtime_error);
+}
+
+// A store that cannot complete must throw a typed error and leave neither
+// a .tmp nor a changed entry behind, never publish silently. The cache dir
+// is made unwritable by replacing it with a regular file (permission bits
+// do not bind root).
+TEST(ArtifactCache, StoreIntoUnwritableDirThrowsTypedErrorAndLeavesNoTmp) {
+  const std::string dir = fresh_dir("cache_unwritable");
+  ArtifactCache cache(dir);
+  std::filesystem::remove_all(dir);
+  std::ofstream(dir) << "not a directory\n";
+  EXPECT_THROW(cache.store(5, tiny_controller()), util::IoError);
+  EXPECT_FALSE(std::filesystem::exists(cache.path_of(5) + ".tmp"));
+  std::filesystem::remove(dir);
+}
+
+TEST(ArtifactCache, StoreThatFailsMidWriteKeepsTheOldEntryAndLeavesNoTmp) {
+  ArtifactCache cache(fresh_dir("cache_short_write"));
+  std::ofstream(cache.path_of(6)) << "previous entry\n";
+  {
+    const test::FileSizeLimit limit(64);  // The bundle is far larger.
+    EXPECT_THROW(cache.store(6, tiny_controller()), util::IoError);
+  }
+  EXPECT_FALSE(std::filesystem::exists(cache.path_of(6) + ".tmp"));
+  std::ifstream in(cache.path_of(6));
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "previous entry");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // TimeseriesStore: counter-delta semantics, ring wraparound, the
-// tmp -> fsync -> rename JSONL round trip, and the torn-tail heal contract
+// util::write_atomic JSONL round trip, and the torn-tail heal contract
 // shared with telemetry_view (one torn final line forgiven, earlier
 // corruption is an error).
 #include "obs/tsdb.hpp"
@@ -10,6 +10,8 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "../test_helpers.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -140,6 +142,40 @@ TEST(TimeseriesStore, TornFinalLineHealsButEarlierCorruptionIsAnError) {
 
   EXPECT_FALSE(
       TimeseriesStore::read_jsonl(tmp_path("absent.jsonl"), &points, &error));
+}
+
+// write_jsonl reports a write that cannot complete as false, keeps the old
+// file and leaves no .tmp (it used to ignore its fsync and leak the .tmp of
+// a failed rename).
+TEST(TimeseriesStore, WriteThatCannotCompleteReturnsFalseAndLeavesNoTmp) {
+  TimeseriesStore store(4);
+  MetricsSnapshot s;
+  s.counters.emplace_back("serve.requests", 3);
+  store.sample(1000, s);
+
+  const std::string dir = tmp_path("tsdb_dir_target");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_FALSE(store.write_jsonl(dir));  // Target is a directory.
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+  EXPECT_FALSE(store.write_jsonl(tmp_path("no_such_dir/ring.jsonl")));
+
+  const std::string path = tmp_path("short_write.jsonl");
+  {
+    std::ofstream old(path, std::ios::trunc);
+    old << "{\"t\":1,\"v\":{}}\n";
+  }
+  for (std::uint64_t t = 2; t < 40; ++t) store.sample(1000 * t, s);
+  {
+    const test::FileSizeLimit limit(32);
+    EXPECT_FALSE(store.write_jsonl(path));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::vector<TimeseriesPoint> points;
+  std::string error;
+  ASSERT_TRUE(TimeseriesStore::read_jsonl(path, &points, &error)) << error;
+  ASSERT_EQ(points.size(), 1u);
+  EXPECT_EQ(points[0].wall_ms, 1u);
 }
 
 TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {

@@ -5,6 +5,9 @@
 // has a dawn/noon/night structure.
 #pragma once
 
+#include <signal.h>
+#include <sys/resource.h>
+
 #include "nvp/node_config.hpp"
 #include "solar/trace_generator.hpp"
 #include "task/benchmarks.hpp"
@@ -58,5 +61,30 @@ inline task::TaskGraph indep3() {
   };
   return task::TaskGraph("indep3", std::move(tasks), {});
 }
+
+/// Caps the size of any file this process writes at `bytes` (RLIMIT_FSIZE)
+/// for the guard's lifetime, so a write past it fails with EFBIG instead of
+/// raising SIGXFSZ. Makes a write fail mid-file even for root, for whom a
+/// read-only directory is still writable.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    previous_signal_ = ::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit limit = previous_;
+    limit.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    ::signal(SIGXFSZ, previous_signal_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit previous_{};
+  sighandler_t previous_signal_;
+};
 
 }  // namespace solsched::test

@@ -25,6 +25,7 @@
 #include "campaign/runner.hpp"
 #include "obs/analysis/telemetry_view.hpp"
 #include "util/cli.hpp"
+#include "util/durable.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -96,9 +97,10 @@ void add_spec_flags(util::Cli& cli) {
 }
 
 int write_or_die(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out || !(out << text) || !out.flush()) {
-    std::fprintf(stderr, "solsched-campaign: cannot write %s\n", path.c_str());
+  try {
+    util::write_atomic(path, text);
+  } catch (const util::IoError& e) {
+    std::fprintf(stderr, "solsched-campaign: cannot write %s\n", e.what());
     return 1;
   }
   return 0;
@@ -189,14 +191,6 @@ int cmd_report(int argc, const char* const* argv) {
   return 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot read " + path);
-  std::string body((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return body;
-}
-
 /// `watch <dir>`: renders <dir>/status.json until the campaign reaches a
 /// terminal state, then exits with that state's code (see usage()). The
 /// campaign directory is the one positional argument; util::Cli rejects
@@ -236,7 +230,8 @@ int cmd_watch(int argc, const char* const* argv) {
   for (;;) {
     CampaignStatus status;
     try {
-      status = obs::analysis::parse_status(read_file(dir + "/status.json"));
+      status = obs::analysis::parse_status(
+          util::read_file(dir + "/status.json"));
     } catch (const std::exception& e) {
       if (once) {
         std::fprintf(stderr, "solsched-campaign watch: %s\n", e.what());

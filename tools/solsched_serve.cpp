@@ -21,8 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <chrono>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -36,6 +34,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+#include "util/durable.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -501,13 +500,6 @@ int cmd_reload(int argc, const char* const* argv) {
   return ack.ok ? 0 : 1;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open " + path);
-  return std::string(std::istreambuf_iterator<char>(file),
-                     std::istreambuf_iterator<char>());
-}
-
 std::uint64_t wall_now_ms() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -556,7 +548,7 @@ int cmd_watch(int argc, const char* const* argv) {
   for (;;) {
     obs::analysis::ServeStatus status;
     try {
-      status = obs::analysis::parse_serve_status(read_file(path));
+      status = obs::analysis::parse_serve_status(util::read_file(path));
     } catch (const std::exception& e) {
       if (once) {
         std::fprintf(stderr, "solsched-serve watch: %s\n", e.what());
