@@ -3,11 +3,13 @@
 // The paper's related work matches load to harvest with dynamic
 // voltage/frequency scaling instead of task on/off decisions. This bench
 // quantifies what frequency scaling buys on our node across the four
-// representative days: the DVFS matcher vs. the identical policy
-// restricted to on/off (levels = {1.0}), plus the effect of the power
-// profile (dynamic-dominated vs. static-dominated silicon).
+// representative days: the `dvfs-match` registry policy vs. the identical
+// policy on an on/off node (levels = {1.0}), plus the effect of the power
+// profile (dynamic-dominated vs. static-dominated silicon). Each column is
+// one NodeConfig::dvfs setting run through nvp::simulate.
 #include "bench_common.hpp"
-#include "dvfs/dvfs_sim.hpp"
+#include "nvp/node_sim.hpp"
+#include "sched/registry.hpp"
 
 using namespace solsched;
 
@@ -20,10 +22,10 @@ int main() {
   const auto days = gen.four_representative_days(grid);
   const char* day_names[] = {"Day1", "Day2", "Day3", "Day4"};
 
-  dvfs::DvfsModel scaled;                      // {0.5, 0.75, 1.0}, 70% dyn.
-  dvfs::DvfsModel on_off;
+  nvp::DvfsModel scaled;                       // {0.5, 0.75, 1.0}, 70% dyn.
+  nvp::DvfsModel on_off;
   on_off.levels = {1.0};
-  dvfs::DvfsModel static_heavy = scaled;
+  nvp::DvfsModel static_heavy = scaled;
   static_heavy.dynamic_fraction = 0.2;
 
   for (const auto& graph : {task::ecg_benchmark(), task::wam_benchmark()}) {
@@ -38,8 +40,9 @@ int main() {
 
       std::vector<std::string> row{day_names[d]};
       for (const auto* model : {&on_off, &scaled, &static_heavy}) {
-        dvfs::DvfsLoadMatcher policy;
-        const auto r = dvfs::simulate_dvfs(graph, day, policy, node, *model);
+        node.dvfs = *model;
+        const auto policy = sched::make_scheduler("dvfs-match", {});
+        const auto r = nvp::simulate(graph, day, *policy, node);
         row.push_back(util::fmt_pct(r.overall_dmr()));
       }
       table.add_row(std::move(row));

@@ -64,13 +64,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L analysis
 echo "== tier 1: scheduler registry zoo ($BUILD_DIR) =="
 # The sched label: every registered policy round-trips id -> factory ->
 # name(), the whole controller-free zoo simulates bit-identically at 1 vs
-# 4 threads, a ccedf/laedf/greedy campaign journals rows keyed by the
-# canonical ids, and the campaign scheduler axis is pinned to the registry
-# (drift test), so a new registry entry cannot silently miss the spec
-# vocabulary. One instance reused over different traces and graphs must
-# match fresh instances, and a warm simulated day may allocate at most once
-# per slot (the returned decision) plus 4 per period: a policy that starts
-# allocating per slot fails here by name, with its count.
+# 4 threads, a ccedf/laedf/greedy/dvfs-match campaign journals rows keyed
+# by the canonical ids, and the campaign scheduler axis is pinned to the
+# registry (drift test), so a new registry entry cannot silently miss the
+# spec vocabulary. One instance reused over different traces and graphs
+# must match fresh instances, and a warm simulated day may allocate at most
+# once per slot (the returned decision) plus 4 per period: a policy that
+# starts allocating per slot fails here by name, with its count. The
+# dvfs-match tests also pin the bench/dvfs_extension DMR grid.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L sched
 
 echo "== tier 1: campaign kill/resume smoke ($BUILD_DIR) =="

@@ -55,6 +55,22 @@ std::vector<std::string> NodeConfig::findings() const {
   if (!finite(restore_energy_j) || restore_energy_j < 0.0)
     flag("restore_energy_j must be finite and >= 0");
 
+  if (dvfs.levels.empty())
+    flag("dvfs.levels must name at least one frequency level");
+  for (std::size_t i = 0; i < dvfs.levels.size(); ++i) {
+    const double f = dvfs.levels[i];
+    if (!finite(f) || f <= 0.0 || f > 1.0)
+      flag("dvfs.levels[" + std::to_string(i) +
+           "] must be finite and in (0, 1] (got " + std::to_string(f) + ")");
+    else if (i > 0 && !(f > dvfs.levels[i - 1]))
+      flag("dvfs.levels[" + std::to_string(i) +
+           "] must be above dvfs.levels[" + std::to_string(i - 1) +
+           "] (levels strictly ascending)");
+  }
+  if (!finite(dvfs.dynamic_fraction) || dvfs.dynamic_fraction < 0.0 ||
+      dvfs.dynamic_fraction > 1.0)
+    flag("dvfs.dynamic_fraction must be finite and in [0, 1]");
+
   return out;
 }
 

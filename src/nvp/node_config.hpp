@@ -11,6 +11,32 @@
 
 namespace solsched::nvp {
 
+/// Node-wide DVFS capability (related work [5, 6, 8]): discrete frequency
+/// factors f in (0, 1], execution time scaling 1/f, and power scaling
+/// P(f) = P_nom * (a f^3 + (1 - a)) — a cubic dynamic component (V roughly
+/// proportional to f) over a static floor. Slowing down reduces *power*
+/// superlinearly but total *energy* only sublinearly, which is the whole
+/// DVFS trade: it buys load-matching resolution, not free energy. Only a
+/// policy that fills SlotContext::frequencies uses it; the on/off policies
+/// run every task at f = 1 without touching the power law.
+struct DvfsModel {
+  /// Available frequency factors, strictly ascending, each in (0, 1].
+  std::vector<double> levels = {0.5, 0.75, 1.0};
+  /// Dynamic-power share at full speed (the rest is static/leakage).
+  double dynamic_fraction = 0.7;
+
+  /// Power multiplier at frequency factor f.
+  double power_scale(double f) const noexcept {
+    return dynamic_fraction * f * f * f + (1.0 - dynamic_fraction);
+  }
+
+  /// Energy-per-work multiplier at factor f (power / speed): > 1 below
+  /// full speed whenever a static floor exists.
+  double energy_scale(double f) const noexcept {
+    return f > 0.0 ? power_scale(f) / f : 1e18;
+  }
+};
+
 /// Everything fixed at design time: the time hierarchy, the distributed
 /// capacitor bank, the regulator/leakage physics and the PMU.
 struct NodeConfig {
@@ -41,6 +67,9 @@ struct NodeConfig {
   /// failure wipes all in-period task progress instead of checkpointing it
   /// (completed results persist; they were committed before the failure).
   bool volatile_baseline = false;
+
+  /// Frequency levels and power law the simulator charges a scaled task.
+  DvfsModel dvfs{};
 
   /// Builds the bank described by this config.
   storage::CapacitorBank make_bank() const;

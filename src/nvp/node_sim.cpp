@@ -1,5 +1,6 @@
 #include "nvp/node_sim.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -136,6 +137,19 @@ void validate_decision(const std::vector<std::size_t>& chosen,
   }
 }
 
+/// Validates a non-empty frequency channel: one configured DVFS level per
+/// chosen task.
+void validate_frequencies(const std::vector<double>& frequencies,
+                          std::size_t n_chosen, const DvfsModel& dvfs) {
+  if (frequencies.size() != n_chosen)
+    throw std::logic_error(
+        "scheduler set a frequency count different from its task count");
+  for (double f : frequencies)
+    if (std::find(dvfs.levels.begin(), dvfs.levels.end(), f) ==
+        dvfs.levels.end())
+      throw std::logic_error("scheduler chose a frequency outside dvfs.levels");
+}
+
 }  // namespace
 
 SimResult simulate(const task::TaskGraph& graph,
@@ -174,6 +188,7 @@ SimResult simulate(const task::TaskGraph& graph,
   pctx.predictor = &predictor;
   std::vector<bool> nvp_busy(graph.nvp_count());
   std::vector<bool> seen(graph.size());
+  std::vector<double> frequencies;  // SlotContext::frequencies, reused.
   // A blackout can span period and day boundaries; entry/exit bookkeeping
   // (backup / restore) must fire once per outage, not once per period.
   bool in_blackout = false;
@@ -314,18 +329,31 @@ SimResult simulate(const task::TaskGraph& graph,
         sctx.bank = &bank;
         sctx.pmu = &pmu;
         sctx.predictor = &predictor;
+        frequencies.clear();
+        sctx.frequencies = &frequencies;
 
         const std::vector<std::size_t> chosen = policy.schedule_slot(sctx);
         validate_decision(chosen, graph, state, plan.tasks_enabled, nvp_busy,
                           seen);
+        // An empty channel is the on/off path: full power, full progress.
+        const bool scaled = !frequencies.empty();
+        if (scaled)
+          validate_frequencies(frequencies, chosen.size(), config.dvfs);
 
         double load_w = 0.0;
-        for (std::size_t id : chosen) load_w += graph.task(id).power_w;
+        if (scaled)
+          for (std::size_t i = 0; i < chosen.size(); ++i)
+            load_w += graph.task(chosen[i]).power_w *
+                      config.dvfs.power_scale(frequencies[i]);
+        else
+          for (std::size_t id : chosen) load_w += graph.task(id).power_w;
 
         const storage::SlotFlow flow =
             pmu.run_slot(solar_w, load_w, bank, grid.dt_s);
         if (!flow.brownout)
-          for (std::size_t id : chosen) state.execute(id, grid.dt_s);
+          for (std::size_t i = 0; i < chosen.size(); ++i)
+            state.execute(chosen[i],
+                          scaled ? frequencies[i] * grid.dt_s : grid.dt_s);
         else
           ++record.brownout_slots;
 

@@ -2,9 +2,11 @@
 //
 // Drives a scheduling policy over a solar trace: per period it applies the
 // policy's coarse plan (capacitor selection, te subset), per slot it asks
-// for a task set, validates it against readiness / NVP-exclusivity / te
-// constraints (Eq. 7-9), resolves energy flows through the PMU, advances
-// task state, and accounts deadline misses (Eq. 5-6).
+// for a task set (and, on a DVFS node, optionally a frequency level per
+// task), validates it against readiness / NVP-exclusivity / te constraints
+// (Eq. 7-9) and the node's DVFS levels, resolves energy flows through the
+// PMU, advances task state, and accounts deadline misses (Eq. 5-6).
+// On/off scheduling is the special case of an empty frequency channel.
 #pragma once
 
 #include "fault/fault_injector.hpp"

@@ -4,7 +4,8 @@
 //   * begin_period(): coarse-grained — may switch the selected capacitor and
 //     restrict the task subset attempted this period (the paper's te vector);
 //   * schedule_slot(): fine-grained — picks the tasks to execute in the
-//     coming slot (at most one per NVP, only ready tasks).
+//     coming slot (at most one per NVP, only ready tasks) and, on a DVFS
+//     node, optionally a frequency level for each (SlotContext::frequencies).
 // The simulator validates every decision and throws on constraint
 // violations, so a policy bug cannot silently corrupt an experiment.
 #pragma once
@@ -51,7 +52,8 @@ struct PeriodPlan {
   int fallback_code = 0;
 };
 
-/// Read-only view handed to a policy before each slot.
+/// View handed to a policy before each slot. Everything is read-only except
+/// the predictor and the frequency channel.
 struct SlotContext {
   std::size_t day = 0;
   std::size_t period = 0;
@@ -64,6 +66,12 @@ struct SlotContext {
   const storage::CapacitorBank* bank = nullptr;
   const storage::Pmu* pmu = nullptr;
   solar::SolarPredictor* predictor = nullptr;
+  /// DVFS frequency channel, owned by the simulator and cleared before each
+  /// slot. Left empty, every returned task runs at full speed. Otherwise it
+  /// holds one level of NodeConfig::dvfs per returned id, in the same
+  /// order; the simulator charges power_w * power_scale(f) and advances the
+  /// task by f * dt.
+  std::vector<double>* frequencies = nullptr;
 };
 
 /// A scheduling policy.

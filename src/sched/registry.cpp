@@ -5,6 +5,7 @@
 
 #include "sched/asap.hpp"
 #include "sched/duty_cycle.hpp"
+#include "sched/dvfs_match.hpp"
 #include "sched/edf.hpp"
 #include "sched/energy_edf.hpp"
 #include "sched/intra_task.hpp"
@@ -70,6 +71,8 @@ Registry::Registry() {
   entries_.push_back(simple<CcEdfScheduler>("ccedf", "ccedf"));
   entries_.push_back(simple<LaEdfScheduler>("laedf", "laedf"));
   entries_.push_back(simple<GreedyFeasibleScheduler>("greedy", "greedy"));
+  // DVFS load matching [5, 6, 8]: frequency levels from NodeConfig::dvfs.
+  entries_.push_back(simple<DvfsLoadMatcher>("dvfs-match", "dvfs-match"));
 }
 
 const Registry& Registry::global() {

@@ -17,6 +17,7 @@
 #include "obs/sim_trace.hpp"
 #include "sched/lsa_inter.hpp"
 #include "sched/proposed.hpp"
+#include "sched/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched {
@@ -86,15 +87,19 @@ TEST(FaultSim, InactiveInjectorBitIdenticalToNoInjector) {
   auto node = test::small_node(grid);
   node.initial_usable_j = 2.0;
 
-  sched::LsaInterScheduler a, b;
-  const nvp::SimResult plain =
-      nvp::simulate(test::chain2(), trace, a, node, nullptr, nullptr);
   const fault::FaultInjector inactive(fault::FaultPlan{}, grid);
-  const nvp::SimResult hooked =
-      nvp::simulate(test::chain2(), trace, b, node, nullptr, &inactive);
-  expect_sim_equal(plain, hooked);
-  EXPECT_EQ(hooked.total_power_failure_slots(), 0u);
-  EXPECT_EQ(hooked.total_backups(), 0u);
+  for (const char* id : {"inter", "dvfs-match"}) {
+    SCOPED_TRACE(id);
+    const auto a = sched::make_scheduler(id, {});
+    const auto b = sched::make_scheduler(id, {});
+    const nvp::SimResult plain =
+        nvp::simulate(test::chain2(), trace, *a, node, nullptr, nullptr);
+    const nvp::SimResult hooked =
+        nvp::simulate(test::chain2(), trace, *b, node, nullptr, &inactive);
+    expect_sim_equal(plain, hooked);
+    EXPECT_EQ(hooked.total_power_failure_slots(), 0u);
+    EXPECT_EQ(hooked.total_backups(), 0u);
+  }
 }
 
 TEST(FaultSim, InjectorGridMustMatchTrace) {

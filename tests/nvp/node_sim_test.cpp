@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../test_helpers.hpp"
 #include "sched/asap.hpp"
+#include "sched/dvfs_match.hpp"
 #include "sched/edf.hpp"
 
 namespace solsched::nvp {
@@ -51,6 +54,75 @@ TEST(NodeSim, RejectsInvalidConfigAtEntry) {
   EXPECT_THROW(
       simulate(test::indep3(), bright_trace(grid, 0.2), policy, bad),
       std::invalid_argument);
+}
+
+// --- DVFS model (NodeConfig::dvfs) ---------------------------------------
+
+TEST(DvfsModel, PowerAndEnergyScaling) {
+  const DvfsModel model;
+  EXPECT_DOUBLE_EQ(model.power_scale(1.0), 1.0);
+  // Half speed: 0.7 * 0.125 + 0.3 = 0.3875 of full power...
+  EXPECT_NEAR(model.power_scale(0.5), 0.3875, 1e-12);
+  // ...and 0.775x the energy per unit work: with the dynamic term
+  // dominating, slowing down saves energy as well as power.
+  EXPECT_NEAR(model.energy_scale(0.5), 0.775, 1e-12);
+  EXPECT_LT(model.energy_scale(0.5), model.energy_scale(1.0));
+  // With a purely static profile the trade reverses: half speed doubles
+  // the energy per unit of work.
+  DvfsModel static_only;
+  static_only.dynamic_fraction = 0.0;
+  EXPECT_NEAR(static_only.energy_scale(0.5), 2.0, 1e-12);
+}
+
+TEST(DvfsModel, Validation) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Findings of a clean node whose DVFS model is replaced; each one must
+  // name the dvfs field it is about.
+  const auto dvfs_findings = [](std::vector<double> levels,
+                                double dynamic_fraction) {
+    NodeConfig node = small_node(small_grid());
+    node.dvfs.levels = std::move(levels);
+    node.dvfs.dynamic_fraction = dynamic_fraction;
+    const auto found = node.findings();
+    for (const auto& f : found) EXPECT_EQ(f.rfind("dvfs.", 0), 0u) << f;
+    return found.size();
+  };
+  EXPECT_EQ(dvfs_findings({0.5, 0.75, 1.0}, 0.7), 0u);
+  EXPECT_EQ(dvfs_findings({1.0}, 0.0), 0u);
+  EXPECT_EQ(dvfs_findings({0.25, 1.0}, 1.0), 0u);
+
+  const std::vector<std::vector<double>> bad_levels = {
+      {},                // empty
+      {1.0, 0.5},        // unsorted
+      {0.5, 0.5, 1.0},   // not strictly ascending
+      {0.5, 1.5},        // overclock
+      {0.0, 1.0},        // zero speed
+      {kNan},            // NaN alone: every comparison is false
+      {kNan, 0.5},       // NaN first: 0.5 compares unordered with it
+      {0.5, kNan},
+      {0.5, kInf},
+      {-kInf, 1.0},
+  };
+  for (const auto& levels : bad_levels)
+    EXPECT_GT(dvfs_findings(levels, 0.7), 0u) << levels.size() << " levels";
+  for (double dynamic : {kNan, kInf, -kInf, -0.1, 1.5})
+    EXPECT_GT(dvfs_findings({0.5, 1.0}, dynamic), 0u) << dynamic;
+}
+
+TEST(DvfsSim, RejectsInvalidModel) {
+  // A bad DVFS model fails at simulate entry, before any slot runs.
+  const auto grid = test::tiny_grid();
+  for (const std::vector<double>& levels :
+       {std::vector<double>{},
+        std::vector<double>{std::numeric_limits<double>::quiet_NaN(), 0.5}}) {
+    NodeConfig bad = small_node(grid);
+    bad.dvfs.levels = levels;
+    sched::DvfsLoadMatcher policy;
+    EXPECT_THROW(simulate(test::indep3(), bright_trace(grid, 0.1), policy, bad),
+                 std::invalid_argument)
+        << levels.size();
+  }
 }
 
 TEST(NodeSim, AbundantEnergyZeroDmr) {
@@ -115,7 +187,7 @@ TEST(NodeSim, DayDmrPartitionsOverall) {
 class RogueScheduler final : public Scheduler {
  public:
   enum class Mode { kUnknownTask, kDuplicate, kNvpConflict, kNotReady,
-                    kOutsideTe, kBadTeSize };
+                    kOutsideTe, kBadTeSize, kBadLevel, kFrequencyCount };
   explicit RogueScheduler(Mode mode) : mode_(mode) {}
   std::string name() const override { return "Rogue"; }
 
@@ -135,6 +207,12 @@ class RogueScheduler final : public Scheduler {
       case Mode::kNotReady: return {ctx.graph->size() == 1 ? 0u : 1u};
       case Mode::kOutsideTe: return {0};
       case Mode::kBadTeSize: return {};
+      case Mode::kBadLevel:  // 0.37 is not one of the node's dvfs.levels.
+        ctx.frequencies->push_back(0.37);
+        return {0};
+      case Mode::kFrequencyCount:  // Two levels for one chosen task.
+        ctx.frequencies->assign({1.0, 1.0});
+        return {0};
     }
     return {};
   }
@@ -166,6 +244,26 @@ TEST(NodeSimValidation, RejectsConstraintViolations) {
                     RogueScheduler::Mode::kBadTeSize}) {
     RogueScheduler rogue(mode);
     EXPECT_THROW(simulate(graph, trace, rogue, node), std::logic_error)
+        << static_cast<int>(mode);
+  }
+}
+
+TEST(DvfsSim, ValidatesActions) {
+  // Actions carrying frequency levels go through the same validator as
+  // on/off ones: a bad task or an NVP conflict is rejected, and so is a
+  // level outside dvfs.levels or a level list that does not match the
+  // chosen tasks one-to-one.
+  const auto grid = test::tiny_grid();
+  NodeConfig node = small_node(grid);
+  node.dvfs.levels = {0.5, 0.75, 1.0};
+  const auto trace = bright_trace(grid, 0.2);
+  for (auto mode : {RogueScheduler::Mode::kUnknownTask,
+                    RogueScheduler::Mode::kBadLevel,
+                    RogueScheduler::Mode::kNvpConflict,
+                    RogueScheduler::Mode::kFrequencyCount}) {
+    RogueScheduler rogue(mode);
+    EXPECT_THROW(simulate(test::indep3(), trace, rogue, node),
+                 std::logic_error)
         << static_cast<int>(mode);
   }
 }

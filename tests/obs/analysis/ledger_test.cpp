@@ -13,8 +13,7 @@
 #include "fault/fault_plan.hpp"
 #include "nvp/node_sim.hpp"
 #include "obs/analysis/attribution.hpp"
-#include "sched/asap.hpp"
-#include "sched/lsa_inter.hpp"
+#include "sched/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched::obs::analysis {
@@ -27,16 +26,17 @@ struct SimRun {
 
 SimRun simulate_graph(const task::TaskGraph& graph, std::size_t n_days,
                    std::uint64_t seed,
-                   const fault::FaultInjector* faults = nullptr) {
+                   const fault::FaultInjector* faults = nullptr,
+                   const std::string& policy_id = "asap") {
   const auto grid = test::tiny_grid(n_days);
   const auto trace = test::scaled_generator(grid, seed)
                          .generate_days(n_days, grid, solar::DayKind::kClear);
   auto node = test::small_node(grid);
   node.initial_usable_j = 2.0;
-  sched::AsapScheduler policy;
+  const auto policy = sched::make_scheduler(policy_id, {});
   SimRun run;
   run.result =
-      nvp::simulate(graph, trace, policy, node, &run.events, faults);
+      nvp::simulate(graph, trace, *policy, node, &run.events, faults);
   return run;
 }
 
@@ -68,7 +68,8 @@ TEST(EnergyLedger, EcgWorkloadConserves) {
 }
 
 // A faulted run (blackouts + capacitor aging + a dead cell) must balance
-// too: backup/restore draws and aging-killed capacity are all ledgered.
+// too: backup/restore draws and aging-killed capacity are all ledgered. The
+// DVFS matcher's frequency-scaled loads go through the same ledger.
 TEST(EnergyLedger, FaultedRunConserves) {
   fault::FaultPlan plan;
   plan.seed = 17;
@@ -78,9 +79,11 @@ TEST(EnergyLedger, FaultedRunConserves) {
   plan.aging.leakage_growth_per_day = 0.1;
   plan.aging.dead_cap_prob = 1.0;
   const fault::FaultInjector fx(plan, test::tiny_grid(3));
-  const SimRun run = simulate_graph(test::chain2(), 3, 8, &fx);
-  ASSERT_GT(run.result.total_power_failure_slots(), 0u);
-  expect_conserves(run, "faulted");
+  for (const char* id : {"asap", "dvfs-match"}) {
+    const SimRun run = simulate_graph(test::chain2(), 3, 8, &fx, id);
+    ASSERT_GT(run.result.total_power_failure_slots(), 0u) << id;
+    expect_conserves(run, id);
+  }
 }
 
 TEST(EnergyLedger, TotalsMatchSimResultAggregates) {

@@ -49,7 +49,7 @@ TEST(Registry, RoundTripsIdFactoryName) {
   }
   // The zoo additions key display == id, so journal rows and report tables
   // speak canonical ids for them.
-  for (const char* id : {"ccedf", "laedf", "greedy"}) {
+  for (const char* id : {"ccedf", "laedf", "greedy", "dvfs-match"}) {
     const SchedulerInfo& info = Registry::global().at(id);
     EXPECT_EQ(info.display_name, info.id);
     EXPECT_FALSE(info.sized_bank);
@@ -166,7 +166,7 @@ TEST(Registry, CampaignAxisRunsZooEndToEnd) {
 
   campaign::CampaignConfig config;
   config.spec = campaign::CampaignSpec::parse(
-      "workloads=wam;seeds=1,2;schedulers=ccedf,laedf,greedy;"
+      "workloads=wam;seeds=1,2;schedulers=ccedf,laedf,greedy,dvfs-match;"
       "periods=12;slots=10;days=1");
   config.dir = dir;
   const campaign::CampaignResult result = campaign::run_campaign(config);
@@ -174,17 +174,18 @@ TEST(Registry, CampaignAxisRunsZooEndToEnd) {
   EXPECT_EQ(result.trainings, 0u);  // Nothing in the zoo needs a controller.
   ASSERT_EQ(result.records.size(), 2u);
   for (const auto& record : result.records) {
-    ASSERT_EQ(record.rows.size(), 3u);
+    ASSERT_EQ(record.rows.size(), 4u);
     EXPECT_EQ(record.rows[0].algo, "ccedf");
     EXPECT_EQ(record.rows[1].algo, "laedf");
     EXPECT_EQ(record.rows[2].algo, "greedy");
+    EXPECT_EQ(record.rows[3].algo, "dvfs-match");
   }
   // The journal on disk keys the rows by canonical id too.
   std::ifstream journal(dir + "/journal.jsonl");
   ASSERT_TRUE(journal.is_open());
   std::stringstream text;
   text << journal.rdbuf();
-  for (const char* id : {"ccedf", "laedf", "greedy"})
+  for (const char* id : {"ccedf", "laedf", "greedy", "dvfs-match"})
     EXPECT_NE(text.str().find("\"algo\": \"" + std::string(id) + "\""),
               std::string::npos)
         << id;
