@@ -15,7 +15,8 @@
 # the per-slot allocation budget, campaign journals keyed by canonical id,
 # spec-axis/registry drift), a
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
-# controller-decision check, plus the concurrency/obs/telemetry/serve/
+# controller-decision check, a 1-vs-4-thread journal comparison with the
+# Optimal row's nested DP, plus the concurrency/obs/telemetry/serve/
 # tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
 # rerun under UndefinedBehaviorSanitizer, and the simd parity, sched and
 # durable suites rerun under AddressSanitizer+UBSan.
@@ -258,6 +259,22 @@ SOLSCHED_THREADS=1 "$SCALAR_DIR/tools/solsched-campaign" run \
   --spec "$XBUILD_SPEC" --dir "$XBUILD_TMP/scalar"
 cmp "$XBUILD_TMP/simd/journal.jsonl" "$XBUILD_TMP/scalar/journal.jsonl"
 echo "scalar and SIMD builds journal bit-identical wam+ecg decisions"
+
+echo "== tier 1: thread-count cross check ($BUILD_DIR) =="
+# The same grid with the Optimal row added, at 1 and at 4 threads. Each
+# shard's rows run as pool jobs, the Optimal row's DP fans out its labels
+# under its row, and every pareto subset sweep fans out under its label:
+# nested parallel regions end to end. Records land in completion order, so
+# both journals are sorted before the byte comparison.
+XTHREAD_SPEC="$(echo "$XBUILD_SPEC" | sed 's/schedulers=inter,proposed/&,optimal/')"
+SOLSCHED_THREADS=1 "$BUILD_DIR/tools/solsched-campaign" run \
+  --spec "$XTHREAD_SPEC" --dir "$XBUILD_TMP/threads1"
+SOLSCHED_THREADS=4 "$BUILD_DIR/tools/solsched-campaign" run \
+  --spec "$XTHREAD_SPEC" --dir "$XBUILD_TMP/threads4"
+sort "$XBUILD_TMP/threads1/journal.jsonl" > "$XBUILD_TMP/threads1.sorted"
+sort "$XBUILD_TMP/threads4/journal.jsonl" > "$XBUILD_TMP/threads4.sorted"
+cmp "$XBUILD_TMP/threads1.sorted" "$XBUILD_TMP/threads4.sorted"
+echo "1-thread and 4-thread campaigns journal bit-identical records"
 
 echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable ($TSAN_DIR) =="
 # sched rides along because the registry is consulted concurrently from

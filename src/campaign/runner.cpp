@@ -208,8 +208,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   }
 
   // ---- Offline artifacts: one per workload, content-addressed. -----------
-  // Trained serially (train_pipeline parallelizes internally; an outer
-  // parallel loop would only serialize it again) and normalized through the
+  // Trained one workload at a time (train_pipeline's own parallel regions
+  // already spread over the pool) and normalized through the
   // serialize/deserialize round trip even on the train path, so a scenario's
   // rows never depend on whether its controller came from cache or from
   // this process (see artifact_cache.hpp).

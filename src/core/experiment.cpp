@@ -198,7 +198,8 @@ std::vector<ResiliencePoint> run_resilience_sweep(
                              lists(config.scheduler_ids, "proposed");
 
   // Flatten (intensity x policy) into one job list so the pool sees every
-  // simulation at once (nested parallel regions would serialize).
+  // simulation at once; a row's own parallel regions (the Optimal row's DP)
+  // nest under its job and share the pool.
   struct Job {
     std::size_t point;
     std::function<ComparisonRow()> run;

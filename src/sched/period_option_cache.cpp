@@ -46,8 +46,7 @@ std::size_t PeriodOptionCache::KeyHash::operator()(
   return static_cast<std::size_t>(key.solar_hash);
 }
 
-std::shared_ptr<const std::vector<PeriodOption>>
-PeriodOptionCache::lookup_or_compute(
+PeriodOptionCache::Value PeriodOptionCache::lookup_or_compute(
     const std::vector<double>& solar_w, double capacity_f, double v0,
     const std::function<std::vector<PeriodOption>()>& compute) {
   Key key;
@@ -56,36 +55,55 @@ PeriodOptionCache::lookup_or_compute(
   key.v0 = v0;
   key.solar_w = solar_w;
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      ++stats_.hits;
-      OBS_COUNTER_ADD("sched.option_cache.hits", 1);
-      return it->second;
-    }
-    ++stats_.misses;
-    OBS_COUNTER_ADD("sched.option_cache.misses", 1);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (const auto it = map_.find(key); it != map_.end()) {
+    ++stats_.hits;
+    OBS_COUNTER_ADD("sched.option_cache.hits", 1);
+    return it->second;
+  }
+  // Single flight: a key already being computed is waited for and counts as
+  // a hit, so hits and misses match the serial run at any thread count.
+  if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
+    ++stats_.hits;
+    OBS_COUNTER_ADD("sched.option_cache.hits", 1);
+    const std::shared_future<Value> pending = it->second;
+    lock.unlock();
+    return pending.get();
+  }
+  ++stats_.misses;
+  OBS_COUNTER_ADD("sched.option_cache.misses", 1);
+  std::promise<Value> promise;
+  in_flight_.emplace(key, promise.get_future().share());
+  lock.unlock();
+
+  // Computed outside the lock: evaluations dominate and fan out on the
+  // thread pool themselves. A failed compute is not cached; its waiters
+  // rethrow the same exception.
+  Value value;
+  try {
+    value = std::make_shared<const std::vector<PeriodOption>>(compute());
+  } catch (...) {
+    lock.lock();
+    in_flight_.erase(key);
+    lock.unlock();
+    promise.set_exception(std::current_exception());
+    throw;
   }
 
-  // Computed outside the lock: evaluations dominate and may themselves use
-  // the thread pool. A concurrent duplicate compute is possible but both
-  // sides produce the identical value (pareto_options is pure).
-  auto value = std::make_shared<const std::vector<PeriodOption>>(compute());
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = map_.emplace(key, value);
-  if (inserted) {
-    insertion_order_.push_back(std::move(key));
-    while (map_.size() > max_entries_) {
-      map_.erase(insertion_order_.front());
-      insertion_order_.pop_front();
-      ++stats_.evictions;
-      OBS_COUNTER_ADD("sched.option_cache.evictions", 1);
-    }
+  lock.lock();
+  in_flight_.erase(key);
+  map_.emplace(key, value);
+  insertion_order_.push_back(std::move(key));
+  while (map_.size() > max_entries_) {
+    map_.erase(insertion_order_.front());
+    insertion_order_.pop_front();
+    ++stats_.evictions;
+    OBS_COUNTER_ADD("sched.option_cache.evictions", 1);
   }
   stats_.entries = map_.size();
-  return it->second;
+  lock.unlock();
+  promise.set_value(value);
+  return value;
 }
 
 OptionCacheStats PeriodOptionCache::stats() const {

@@ -17,11 +17,15 @@
 // Thread safety: all operations take an internal mutex, so a cache may be
 // shared across schedulers (e.g. the training oracle and the comparison
 // run's Optimal row) even when policy rows execute on the thread pool.
+// Lookups are single-flight: each key is computed once, and concurrent
+// requests for it wait for that result, so the counters do not depend on
+// the thread count.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -51,10 +55,13 @@ class PeriodOptionCache {
   /// `max_entries` bounds memory; the oldest insertion is evicted first.
   explicit PeriodOptionCache(std::size_t max_entries = 1 << 16);
 
+  using Value = std::shared_ptr<const std::vector<PeriodOption>>;
+
   /// Returns the cached option set for (solar_w, capacity_f, v0), calling
   /// `compute` on a miss. The returned pointer stays valid after eviction
-  /// (entries are shared_ptr-owned).
-  std::shared_ptr<const std::vector<PeriodOption>> lookup_or_compute(
+  /// (entries are shared_ptr-owned). If `compute` throws, nothing is cached
+  /// and every request waiting on that key rethrows the exception.
+  Value lookup_or_compute(
       const std::vector<double>& solar_w, double capacity_f, double v0,
       const std::function<std::vector<PeriodOption>()>& compute);
 
@@ -90,9 +97,8 @@ class PeriodOptionCache {
 
   mutable std::mutex mutex_;
   std::size_t max_entries_;
-  std::unordered_map<Key, std::shared_ptr<const std::vector<PeriodOption>>,
-                     KeyHash>
-      map_;
+  std::unordered_map<Key, Value, KeyHash> map_;
+  std::unordered_map<Key, std::shared_future<Value>, KeyHash> in_flight_;
   std::deque<Key> insertion_order_;  ///< FIFO eviction queue.
   OptionCacheStats stats_;
 };

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -14,19 +15,13 @@
 #include "obs/span.hpp"
 
 namespace solsched::util {
-namespace {
-
-thread_local bool t_in_worker = false;
-
-}  // namespace
 
 struct ThreadPool::Impl {
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t n = 0;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> active{0};  ///< Workers currently inside work_on.
+    std::size_t active = 0;  ///< Workers inside work_on; guarded by mutex.
     std::atomic<bool> cancelled{false};
     // First exception by smallest index, so rethrow order is deterministic.
     std::mutex err_mutex;
@@ -38,14 +33,21 @@ struct ThreadPool::Impl {
   std::vector<std::thread> workers;
 
   std::mutex mutex;
-  std::condition_variable work_cv;   ///< Wakes workers on a new job.
-  std::condition_variable done_cv;   ///< Wakes the caller on completion.
-  Job* job = nullptr;
-  std::uint64_t generation = 0;
+  std::condition_variable work_cv;  ///< Wakes idle workers on a new job.
+  std::condition_variable done_cv;  ///< Wakes callers waiting on their job.
+  // Open jobs in publication order. A nested job is published after the
+  // job whose body started it, so the back is the innermost.
+  std::vector<Job*> open;
   bool shutdown = false;
 
-  // Serializes top-level run() calls from different threads.
-  std::mutex run_mutex;
+  // `next` grows outside the mutex, which only ever makes a job
+  // unclaimable; a job becomes claimable only when published under the
+  // mutex with a notify, so an idle worker cannot miss one.
+  Job* claimable_job() const {
+    for (auto it = open.rbegin(); it != open.rend(); ++it)
+      if ((*it)->next.load(std::memory_order_relaxed) < (*it)->n) return *it;
+    return nullptr;
+  }
 
   static void record_error(Job& job, std::size_t index) {
     std::lock_guard<std::mutex> lock(job.err_mutex);
@@ -60,47 +62,44 @@ struct ThreadPool::Impl {
     for (;;) {
       const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
       if (i >= job.n) return;
-      if (!job.cancelled.load(std::memory_order_relaxed)) {
-        try {
-          (*job.fn)(i);
-        } catch (...) {
-          record_error(job, i);
-        }
+      if (job.cancelled.load(std::memory_order_relaxed)) continue;
+      try {
+        (*job.fn)(i);
+      } catch (...) {
+        record_error(job, i);
       }
-      job.done.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 
+  // Only an idle worker claims: a thread inside a body that waits on its
+  // own nested job claims nothing, so waits form a tree and cannot cycle.
   void worker_loop() {
-    t_in_worker = true;
-    std::uint64_t seen = 0;
     for (;;) {
-      Job* my_job = nullptr;
+      Job* job = nullptr;
       {
-        // The pool has no task queue (one job at a time, indices claimed by
-        // fetch_add), so "idle" is the whole wait between jobs.
-        const std::uint64_t wait_start =
-            obs::enabled() ? obs::now_us() : 0;
         std::unique_lock<std::mutex> lock(mutex);
-        work_cv.wait(lock,
-                     [&] { return shutdown || generation != seen; });
-        if (wait_start != 0)
-          OBS_COUNTER_ADD("util.thread_pool.idle_us",
-                          obs::now_us() - wait_start);
-        if (shutdown) return;
-        seen = generation;
-        my_job = job;
+        job = claimable_job();
+        if (!job && !shutdown) {
+          // Idle: no open job has an unclaimed index.
+          const std::uint64_t wait_start = obs::enabled() ? obs::now_us() : 0;
+          work_cv.wait(lock, [&] {
+            return shutdown || (job = claimable_job()) != nullptr;
+          });
+          if (wait_start != 0)
+            OBS_COUNTER_ADD("util.thread_pool.idle_us",
+                            obs::now_us() - wait_start);
+        }
+        if (!job) return;
         // Registered under the mutex so run() cannot retire the job while
         // this worker still holds a pointer to it.
-        if (my_job) my_job->active.fetch_add(1, std::memory_order_relaxed);
+        ++job->active;
       }
-      if (!my_job) continue;
-      work_on(*my_job);
+      work_on(*job);
       {
         std::lock_guard<std::mutex> lock(mutex);
-        my_job->active.fetch_sub(1, std::memory_order_relaxed);
-        done_cv.notify_all();
+        --job->active;
       }
+      done_cv.notify_all();
     }
   }
 };
@@ -124,8 +123,6 @@ ThreadPool::~ThreadPool() {
 
 std::size_t ThreadPool::size() const noexcept { return impl_->n_threads; }
 
-bool ThreadPool::in_worker() noexcept { return t_in_worker; }
-
 void ThreadPool::run(std::size_t n,
                      const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -134,7 +131,7 @@ void ThreadPool::run(std::size_t n,
   // excluded from determinism comparisons (MetricsSnapshot::without_timing).
   OBS_COUNTER_ADD("util.thread_pool.jobs", 1);
   OBS_COUNTER_ADD("util.thread_pool.indices", n);
-  if (n == 1 || impl_->workers.empty() || t_in_worker) {
+  if (n == 1 || impl_->workers.empty()) {
     // Serial path: exceptions propagate directly; remaining indices are
     // skipped exactly as in the parallel path.
     for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -142,36 +139,23 @@ void ThreadPool::run(std::size_t n,
   }
 
   OBS_COUNTER_ADD("util.thread_pool.parallel_jobs", 1);
-  std::lock_guard<std::mutex> top(impl_->run_mutex);
   Impl::Job job;
   job.fn = &fn;
   job.n = n;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->job = &job;
-    ++impl_->generation;
+    impl_->open.push_back(&job);
   }
   impl_->work_cv.notify_all();
 
-  // The caller participates instead of idling. While inside the job it
-  // counts as a pool worker: nested run() calls from its own work items
-  // must degrade to serial rather than re-enter run_mutex and deadlock.
-  struct InWorkerGuard {
-    InWorkerGuard() { t_in_worker = true; }
-    ~InWorkerGuard() { t_in_worker = false; }
-  };
-  {
-    InWorkerGuard guard;
-    Impl::work_on(job);
-  }
-
+  // The caller works on its own job, then waits. Once work_on returns every
+  // index is claimed, so no active worker means every index has finished.
+  Impl::work_on(job);
   {
     std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->done_cv.wait(lock, [&] {
-      return job.done.load(std::memory_order_acquire) >= job.n &&
-             job.active.load(std::memory_order_acquire) == 0;
-    });
-    impl_->job = nullptr;
+    impl_->done_cv.wait(lock, [&] { return job.active == 0; });
+    impl_->open.erase(
+        std::find(impl_->open.begin(), impl_->open.end(), &job));
   }
   if (job.error) std::rethrow_exception(job.error);
 }

@@ -8,9 +8,8 @@
 // bit-identical at every thread count, including 1.
 //
 // The global pool is sized from the SOLSCHED_THREADS environment variable
-// (default: std::thread::hardware_concurrency). parallel_for called from
-// inside a pool worker runs the body serially in that worker — nested
-// parallel regions degrade gracefully instead of deadlocking.
+// (default: std::thread::hardware_concurrency). Nested parallel_for regions
+// share the pool: idle workers claim indices from the innermost open job.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +35,10 @@ class ThreadPool {
   /// Runs fn(i) for every i in [0, n), blocking until all complete.
   /// The first exception (by smallest index i) is rethrown in the caller;
   /// once any body throws, not-yet-started indices are skipped.
-  /// Serial fallbacks: n <= 1, size() == 1, or when called from inside a
-  /// pool worker (nested use).
+  /// Safe to call from inside a body (nested) and from several threads at
+  /// once; the caller works on its own indices, then waits without claiming
+  /// others. Serial path: n <= 1 or size() == 1.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// True when the current thread is a pool worker (nested region).
-  static bool in_worker() noexcept;
 
   /// Process-wide pool, created on first use with thread_count_from_env().
   static ThreadPool& global();

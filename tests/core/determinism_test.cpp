@@ -5,6 +5,7 @@
 
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "sched/optimal.hpp"
 #include "util/thread_pool.hpp"
 
@@ -198,6 +199,70 @@ TEST(Determinism, RunComparisonIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial_rows[r].brownouts, threaded_rows[r].brownouts)
         << "row " << r;
   }
+}
+
+TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
+  // On the training trace the Optimal row rides the oracle's cache and never
+  // solves a DP. A held-out trace (another generator seed) makes it solve
+  // one inside its row job, with the pareto sweeps nested under the DP's
+  // label fan-out: the deepest nesting the pool sees.
+  const auto grid = test::small_grid();
+  const auto train_trace = test::scaled_generator(grid, 11).generate_days(2, grid);
+  const auto held_out = test::scaled_generator(grid, 12).generate_days(2, grid);
+  const auto graph = test::indep3();
+  const auto node = test::small_node(grid);
+  ComparisonConfig cmp;
+  cmp.dp = fast_pipeline_config().dp;
+
+  struct Run {
+    std::vector<ComparisonRow> rows;
+    sched::OptionCacheStats cache;
+    std::uint64_t dp_evaluations = 0;
+  };
+  auto run_at = [&](std::size_t threads) {
+    util::ThreadPool::set_global_threads(threads);
+    const TrainedController trained =
+        train_pipeline(graph, train_trace, node, fast_pipeline_config());
+    obs::set_enabled(true);
+    obs::MetricsRegistry::global().reset();
+    Run run;
+    run.rows = run_comparison(graph, held_out, node, &trained, cmp);
+    run.dp_evaluations = obs::MetricsRegistry::global().snapshot().counter_or(
+        "sched.dp.evaluations");
+    obs::set_enabled(false);
+    run.cache = trained.option_cache->stats();
+    return run;
+  };
+  const Run serial = run_at(1);
+  const Run threaded = run_at(4);
+  util::ThreadPool::set_global_threads(util::ThreadPool::thread_count_from_env());
+
+  ASSERT_EQ(serial.rows.size(), threaded.rows.size());
+  ASSERT_NO_THROW((void)row_of(serial.rows, "optimal"));
+  for (std::size_t r = 0; r < serial.rows.size(); ++r) {
+    const ComparisonRow& a = serial.rows[r];
+    const ComparisonRow& b = threaded.rows[r];
+    EXPECT_EQ(a.id, b.id) << "row " << r;
+    EXPECT_EQ(a.algo, b.algo) << "row " << r;
+    EXPECT_EQ(a.dmr, b.dmr) << a.id;
+    EXPECT_EQ(a.energy_utilization, b.energy_utilization) << a.id;
+    EXPECT_EQ(a.migration_efficiency, b.migration_efficiency) << a.id;
+    EXPECT_EQ(a.brownouts, b.brownouts) << a.id;
+    EXPECT_EQ(a.sim.periods.size(), b.sim.periods.size()) << a.id;
+    EXPECT_EQ(a.sim.final_bank_energy_j, b.sim.final_bank_energy_j) << a.id;
+    EXPECT_EQ(a.sim.total_served_j(), b.sim.total_served_j()) << a.id;
+    EXPECT_EQ(a.sim.total_loss_j(), b.sim.total_loss_j()) << a.id;
+  }
+
+  // The row really solved a DP, and the shared cache's counters are
+  // thread-count independent (single-flight lookups, no eviction).
+  EXPECT_GT(serial.dp_evaluations, 0u);
+  EXPECT_EQ(serial.dp_evaluations, threaded.dp_evaluations);
+  EXPECT_EQ(serial.cache.hits, threaded.cache.hits);
+  EXPECT_EQ(serial.cache.misses, threaded.cache.misses);
+  EXPECT_EQ(serial.cache.entries, threaded.cache.entries);
+  EXPECT_EQ(serial.cache.evictions, 0u);
+  EXPECT_EQ(threaded.cache.misses, threaded.cache.entries);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace solsched::sched {
@@ -113,6 +117,76 @@ TEST(PeriodOptionCache, ClearResets) {
   EXPECT_EQ(cache.stats().misses, 0u);
   cache.lookup_or_compute({0.1}, 20e-3, 2.5, compute);
   EXPECT_EQ(computes, 2);  // Cleared, so the entry had to be recomputed.
+}
+
+// Polls `done` until it holds or a bounded wait expires, so a regression
+// fails an assertion instead of hanging the suite.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+TEST(PeriodOptionCache, ConcurrentRequestsComputeOnce) {
+  // Single flight: the first request computes; the other three either wait
+  // for that flight or arrive after it landed. Both count as hits, so the
+  // counters equal a serial run's (1 miss, 3 hits).
+  PeriodOptionCache cache;
+  std::atomic<int> computes{0};
+  auto compute = [&] {
+    ++computes;
+    wait_until([&] { return cache.stats().hits >= 3; });
+    return make_options(1);
+  };
+  std::vector<PeriodOptionCache::Value> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      got[t] = cache.lookup_or_compute({0.1}, 20e-3, 2.5, compute);
+    });
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  for (const auto& value : got) EXPECT_EQ(value.get(), got[0].get());
+}
+
+TEST(PeriodOptionCache, FailedComputeRethrowsToWaitersAndIsNotCached) {
+  PeriodOptionCache cache;
+  std::atomic<bool> started{false};
+  std::thread computing([&] {
+    EXPECT_THROW(cache.lookup_or_compute({0.1}, 20e-3, 2.5,
+                                         [&]() -> std::vector<PeriodOption> {
+                                           started = true;
+                                           // Fail only once the waiter
+                                           // has joined this flight.
+                                           wait_until([&] {
+                                             return cache.stats().hits >= 1;
+                                           });
+                                           throw std::runtime_error("boom");
+                                         }),
+                 std::runtime_error);
+  });
+  wait_until([&] { return started.load(); });
+  try {
+    cache.lookup_or_compute({0.1}, 20e-3, 2.5,
+                            [] { return make_options(0); });
+    ADD_FAILURE() << "the waiter must rethrow the flight's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  computing.join();
+  EXPECT_EQ(cache.stats().entries, 0u);
+
+  // Nothing was cached: the next request computes afresh.
+  const auto value = cache.lookup_or_compute({0.1}, 20e-3, 2.5,
+                                             [] { return make_options(2); });
+  EXPECT_EQ(value->at(0).misses, 2u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(QuantizeV0, ZeroStepsIsIdentity) {

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace solsched::util {
@@ -76,18 +82,118 @@ TEST(ThreadPool, ParallelExceptionSkipsRemainingWork) {
   EXPECT_LT(executed.load(), 10000);
 }
 
-TEST(ThreadPool, NestedRunFromCallerDegradesToSerial) {
-  // The caller participates in its own job; a nested run() from one of its
-  // work items must not deadlock on the pool's run mutex.
-  ThreadPool pool(2);
-  constexpr std::size_t n = 8;
-  std::vector<std::vector<int>> inner(n);
-  pool.run(n, [&](std::size_t i) {
-    inner[i].assign(n, 0);
-    pool.run(n, [&](std::size_t j) { inner[i][j] = 1; });
+// Records the distinct threads that run one job's bodies. The body that
+// arrives first waits (bounded, so a 1-CPU host cannot hang the test) for a
+// second thread, so a fast thread cannot drain the whole job alone.
+class Witness {
+ public:
+  void arrive(bool first) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+    cv_.notify_all();
+    if (first)
+      cv_.wait_for(lock, std::chrono::seconds(10),
+                   [&] { return ids_.size() >= 2; });
+  }
+  std::size_t threads() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_.size();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::set<std::thread::id> ids_;
+};
+
+TEST(ThreadPool, NestedRunUsesIdleWorkers) {
+  // Two outer bodies each open an inner job; the two idle workers must
+  // join them instead of the inner jobs running serially in their callers.
+  ThreadPool pool(4);
+  Witness inner[2];
+  pool.run(2, [&](std::size_t i) {
+    pool.run(8, [&](std::size_t j) { inner[i].arrive(j == 0); });
   });
-  for (const auto& row : inner)
-    for (int v : row) ASSERT_EQ(v, 1);
+  EXPECT_GE(inner[0].threads(), 2u);
+  EXPECT_GE(inner[1].threads(), 2u);
+}
+
+TEST(ThreadPool, NestedExceptionIsSmallestIndexAtBothLevels) {
+  // Inner indices 1, 4 and 7 throw "i:j". Each level rethrows the smallest
+  // index that threw, so the caller sees the smallest outer body that ran
+  // with the smallest inner index that threw inside it.
+  ThreadPool pool(4);
+  constexpr std::size_t n = 8;
+  std::mutex mutex;
+  std::set<std::size_t> outer_ran;
+  std::vector<std::set<std::size_t>> thrown(n);
+  try {
+    pool.run(n, [&](std::size_t i) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        outer_ran.insert(i);
+      }
+      pool.run(n, [&](std::size_t j) {
+        if (j % 3 != 1) return;
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          thrown[i].insert(j);
+        }
+        throw std::runtime_error(std::to_string(i) + ":" + std::to_string(j));
+      });
+    });
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_FALSE(outer_ran.empty());
+    const std::size_t i = *outer_ran.begin();
+    ASSERT_FALSE(thrown[i].empty());
+    EXPECT_EQ(std::string(e.what()),
+              std::to_string(i) + ":" + std::to_string(*thrown[i].begin()));
+  }
+}
+
+TEST(ThreadPool, ConcurrentTopLevelCallersWithNestedRegions) {
+  // Three threads outside the pool call run() at once, each with nested
+  // regions; every (caller, i, j) slot is written exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t callers = 3, n = 16;
+  std::vector<std::atomic<int>> hits(callers * n * n);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < callers; ++t)
+    threads.emplace_back([&, t] {
+      pool.run(n, [&](std::size_t i) {
+        pool.run(n, [&](std::size_t j) {
+          hits[(t * n + i) * n + j].fetch_add(1);
+        });
+      });
+    });
+  for (auto& thread : threads) thread.join();
+  for (std::size_t k = 0; k < hits.size(); ++k)
+    ASSERT_EQ(hits[k].load(), 1) << "slot " << k;
+}
+
+TEST(ThreadPool, ThreeLevelNestingIsExact) {
+  // Per-index slots at every level, reduced serially in index order: the
+  // sum is exact (small integers) and identical to the closed form.
+  ThreadPool pool(4);
+  constexpr std::size_t n = 6;
+  std::vector<double> outer(n, 0.0);
+  pool.run(n, [&](std::size_t i) {
+    std::vector<double> middle(n, 0.0);
+    pool.run(n, [&](std::size_t j) {
+      std::vector<double> inner(n, 0.0);
+      pool.run(n, [&](std::size_t k) {
+        inner[k] = static_cast<double>(i * n * n + j * n + k);
+      });
+      for (double v : inner) middle[j] += v;
+    });
+    for (double v : middle) outer[i] += v;
+  });
+  double total = 0.0;
+  for (double v : outer) total += v;
+  constexpr double cells = n * n * n;
+  EXPECT_EQ(total, cells * (cells - 1) / 2);
 }
 
 TEST(ThreadPool, NestedParallelForCompletes) {
