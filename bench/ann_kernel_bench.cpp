@@ -3,7 +3,8 @@
 // timed on the DBN's real layer shapes (24x25 / 12x24 / 13x12) plus ragged
 // and adversarial shapes that exercise the vector-width tails. Each timing
 // is best-of-reps over a fixed iteration count; results go to stdout and to
-// BENCH_ann.json next to BENCH_pipeline.json.
+// BENCH_ann.json. The committed copy at the repo root is the kernel
+// roofline record; nothing gates on it (perfbench is the benchmark).
 //
 // The per-shape `mflops` column is the useful-arithmetic rate (multiply and
 // add counted separately, matching the kernels' no-contraction contract),

@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
 # Tier-1 gate: the full test suite on a normal build, the trace-analytics
-# phase (golden-ledger suite + bench regression gate over the pipeline and
-# kernel baselines), the campaign kill/resume smoke, the live-telemetry
-# drill (stop under SOLSCHED_OBS, torn-tail heal, resume, watch exit
-# codes), the serve daemon kill/restart drill (SIGKILL mid-load, backoff
-# reconnect, bit-identical decisions across the restart), the serve
-# observability drill (SLO burn-rate alert under an injected delay fault,
-# timeseries ring flush, a traced request stitched across the client and
-# server Chrome-trace dumps), the perfbench smoke run (every benchmark
-# workload on its smallest inputs, checking metrics, failures and the
-# decision and served-reply digests), the scheduler-registry zoo suite
+# phase (golden-ledger suite and the solsched-inspect CLI), the campaign
+# kill/resume smoke, the live-telemetry drill (stop under SOLSCHED_OBS,
+# torn-tail heal, resume, watch exit codes), the serve daemon kill/restart
+# drill (SIGKILL mid-load, backoff reconnect, bit-identical decisions across
+# the restart), the serve observability drill (SLO burn-rate alert under an
+# injected delay fault, timeseries ring flush, a traced request stitched
+# across the client and server Chrome-trace dumps), the perfbench smoke run
+# (every benchmark workload on its smallest inputs, checking metrics,
+# failures and the decision and served-reply digests), the
+# scheduler-registry zoo suite
 # (`ctest -L sched`: id->factory->name round-trips, 1-vs-N-thread
 # bit-identity across the zoo, reused-instance == fresh-instance records,
 # the per-slot allocation budget, campaign journals keyed by canonical id,
@@ -51,16 +51,11 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== tier 1: trace analytics ($BUILD_DIR) =="
-# The golden-ledger suite standalone (energy conservation, DMR attribution,
-# manifests, the inspect CLI), then the bench regression gate on the
-# committed baseline compared against itself — a deterministic exercise of
-# the exact command a refreshed BENCH_pipeline.json would be vetted with:
-#   tools/solsched-inspect check-bench BENCH_pipeline.json <fresh.json>
+# The golden-ledger suite standalone: energy conservation, DMR attribution,
+# manifests, trace profiles and timelines, and the solsched-inspect exit
+# codes (including its strict numeric flag parsing).
+# Performance is gated by the perfbench smoke phase below, not here.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L analysis
-"$BUILD_DIR/tools/solsched-inspect" check-bench \
-  BENCH_pipeline.json BENCH_pipeline.json \
-  BENCH_ann.json BENCH_ann.json \
-  BENCH_serve.json BENCH_serve.json --max-regress 15%
 
 echo "== tier 1: scheduler registry zoo ($BUILD_DIR) =="
 # The sched label: every registered policy round-trips id -> factory ->

@@ -45,12 +45,6 @@ void Matrix::multiply_transposed_into(const Vector& x, Vector& y) const {
   kernels::gemv_t_acc(data_.data(), rows_, cols_, x.data(), y.data());
 }
 
-void Matrix::add_outer(const Vector& a, const Vector& b, double scale) {
-  if (a.size() != rows_ || b.size() != cols_)
-    throw std::invalid_argument("Matrix::add_outer: size mismatch");
-  kernels::outer_acc_n(data_.data(), a.data(), b.data(), scale, rows_, cols_);
-}
-
 void Matrix::add_scaled(const Matrix& other, double scale) {
   if (other.rows_ != rows_ || other.cols_ != cols_)
     throw std::invalid_argument("Matrix::add_scaled: shape mismatch");

@@ -65,118 +65,64 @@ kernels::BatchMatrix Mlp::forward_batch(const kernels::BatchMatrix& x) const {
 double Mlp::train_epoch(const std::vector<Sample>& samples,
                         const MlpTrainConfig& config) {
   if (samples.empty()) return 0.0;
-  double loss_acc = 0.0;
   const auto order = rng_.permutation(samples.size());
   const std::size_t depth = weights_.size();
 
   if (config.batch_size > 1)
     return train_epoch_minibatch(samples, config, order);
 
-  if (config.fused_kernels) {
-    // Activation/delta buffers live across the whole epoch; the weight
-    // step is one fused pass (momentum_update) instead of the four-pass
-    // scale/add_outer/add_scaled sequence.
-    std::vector<Vector> acts(depth + 1);
-    Vector delta;
-    Vector next_delta;
-    for (std::size_t idx : order) {
-      const Sample& sample = samples[idx];
-      if (sample.x.size() != n_inputs() || sample.y.size() != n_outputs())
-        throw std::invalid_argument("Mlp::train_epoch: sample size mismatch");
-
-      acts[0] = sample.x;
-      for (std::size_t l = 0; l < depth; ++l) {
-        weights_[l].multiply_into(acts[l], acts[l + 1]);
-        add_inplace(acts[l + 1], biases_[l]);
-        sigmoid_inplace(acts[l + 1]);
-      }
-      loss_acc += mse(acts[depth], sample.y);
-
-      delta.assign(n_outputs(), 0.0);
-      for (std::size_t i = 0; i < delta.size(); ++i) {
-        const double out = acts[depth][i];
-        delta[i] = (out - sample.y[i]) * sigmoid_deriv_from_output(out);
-      }
-
-      for (std::size_t l = depth; l-- > 0;) {
-        // Propagate before updating so we use the pre-update weights.
-        if (l > 0) {
-          weights_[l].multiply_transposed_into(delta, next_delta);
-          kernels::sigmoid_deriv_mul_n(next_delta.data(), acts[l].data(),
-                                       next_delta.size());
-        }
-
-        momentum_update(weights_[l], vel_w_[l], delta, acts[l],
-                        config.momentum, -config.learning_rate,
-                        config.weight_decay);
-
-        kernels::bias_momentum_n(biases_[l].data(), vel_b_[l].data(),
-                                 delta.data(), config.momentum,
-                                 config.learning_rate, biases_[l].size());
-
-        if (l > 0) std::swap(delta, next_delta);
-      }
-    }
-    // Epoch-level kernel accounting (per-call counters would cost more
-    // atomics than the kernels themselves on these layer sizes).
-    OBS_COUNTER_ADD("ann.kernel.gemv", samples.size() * depth);
-    OBS_COUNTER_ADD("ann.kernel.gemv_t",
-                    samples.size() * (depth > 0 ? depth - 1 : 0));
-    OBS_COUNTER_ADD("ann.kernel.sigmoid", samples.size() * depth);
-    OBS_COUNTER_ADD("ann.kernel.momentum", samples.size() * depth);
-    return loss_acc / static_cast<double>(samples.size());
-  }
-
+  // Activation/delta buffers live across the whole epoch; the weight step is
+  // one fused pass (momentum_update) instead of building an explicit
+  // gradient matrix per sample.
+  double loss_acc = 0.0;
+  std::vector<Vector> acts(depth + 1);
+  Vector delta;
+  Vector next_delta;
   for (std::size_t idx : order) {
     const Sample& sample = samples[idx];
     if (sample.x.size() != n_inputs() || sample.y.size() != n_outputs())
       throw std::invalid_argument("Mlp::train_epoch: sample size mismatch");
 
-    // Forward pass keeping activations per layer.
-    std::vector<Vector> acts;
-    acts.reserve(depth + 1);
-    acts.push_back(sample.x);
+    acts[0] = sample.x;
     for (std::size_t l = 0; l < depth; ++l) {
-      Vector a = weights_[l].multiply(acts.back());
-      add_inplace(a, biases_[l]);
-      sigmoid_inplace(a);
-      acts.push_back(std::move(a));
+      weights_[l].multiply_into(acts[l], acts[l + 1]);
+      add_inplace(acts[l + 1], biases_[l]);
+      sigmoid_inplace(acts[l + 1]);
     }
-    loss_acc += mse(acts.back(), sample.y);
+    loss_acc += mse(acts[depth], sample.y);
 
     // Backward pass: delta = dLoss/dz per layer (MSE + sigmoid).
-    Vector delta(n_outputs());
+    delta.assign(n_outputs(), 0.0);
     for (std::size_t i = 0; i < delta.size(); ++i) {
-      const double out = acts.back()[i];
+      const double out = acts[depth][i];
       delta[i] = (out - sample.y[i]) * sigmoid_deriv_from_output(out);
     }
 
     for (std::size_t l = depth; l-- > 0;) {
-      // Gradients for layer l: dW = delta * acts[l]^T, db = delta.
       // Propagate before updating so we use the pre-update weights.
-      Vector next_delta;
       if (l > 0) {
-        next_delta = weights_[l].multiply_transposed(delta);
-        for (std::size_t i = 0; i < next_delta.size(); ++i)
-          next_delta[i] *= sigmoid_deriv_from_output(acts[l][i]);
+        weights_[l].multiply_transposed_into(delta, next_delta);
+        kernels::sigmoid_deriv_mul_n(next_delta.data(), acts[l].data(),
+                                     next_delta.size());
       }
 
-      vel_w_[l].scale(config.momentum);
-      Matrix grad(weights_[l].rows(), weights_[l].cols());
-      grad.add_outer(delta, acts[l], 1.0);
-      grad.add_scaled(weights_[l], config.weight_decay);
-      vel_w_[l].add_scaled(grad, -config.learning_rate);
-      weights_[l].add_scaled(vel_w_[l], 1.0);
+      momentum_update(weights_[l], vel_w_[l], delta, acts[l], config.momentum,
+                      -config.learning_rate, config.weight_decay);
 
-      for (std::size_t i = 0; i < biases_[l].size(); ++i) {
-        vel_b_[l][i] = config.momentum * vel_b_[l][i] -
-                       config.learning_rate * delta[i];
-        biases_[l][i] += vel_b_[l][i];
-      }
+      kernels::bias_momentum_n(biases_[l].data(), vel_b_[l].data(),
+                               delta.data(), config.momentum,
+                               config.learning_rate, biases_[l].size());
 
-      if (l > 0) delta = std::move(next_delta);
+      if (l > 0) std::swap(delta, next_delta);
     }
   }
+  // Epoch-level kernel accounting (per-call counters would cost more atomics
+  // than the kernels themselves on these layer sizes).
+  OBS_COUNTER_ADD("ann.kernel.gemv", samples.size() * depth);
+  OBS_COUNTER_ADD("ann.kernel.gemv_t",
+                  samples.size() * (depth > 0 ? depth - 1 : 0));
+  OBS_COUNTER_ADD("ann.kernel.sigmoid", samples.size() * depth);
+  OBS_COUNTER_ADD("ann.kernel.momentum", samples.size() * depth);
   return loss_acc / static_cast<double>(samples.size());
 }
 
@@ -188,7 +134,7 @@ double Mlp::train_epoch_minibatch(const std::vector<Sample>& samples,
   // per-sample deltas are back-propagated against the same frozen weights,
   // and the *averaged* gradient is applied in one momentum step. All
   // arithmetic goes through the kernel layer, so scalar and SIMD builds
-  // agree bit for bit; only the B=1 path is bit-comparable to the legacy
+  // agree bit for bit; only the B=1 path is bit-comparable to the
   // per-sample sequence.
   const std::size_t depth = weights_.size();
   double loss_acc = 0.0;

@@ -28,10 +28,6 @@ struct MlpTrainConfig {
   double learning_rate = 0.2;
   double momentum = 0.7;
   double weight_decay = 1e-5;
-  /// Fused momentum step + reused activation buffers. Same update rule as
-  /// the legacy path but with a different floating-point evaluation order;
-  /// set false to reproduce the original sequence bit-for-bit.
-  bool fused_kernels = true;
   /// Samples per weight update. 1 (default) reproduces the per-sample SGD
   /// sequence bit-for-bit. >1 switches to minibatch SGD: forward/backward
   /// run as batch GEMM passes and the averaged gradient is applied once per

@@ -35,113 +35,65 @@ Vector Rbm::visible_probs(const Vector& hidden) const {
   return v;
 }
 
-Vector Rbm::sample_bernoulli(const Vector& probs) {
-  Vector s(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i)
-    s[i] = rng_.bernoulli(probs[i]) ? 1.0 : 0.0;
-  return s;
-}
-
 double Rbm::train_epoch(const std::vector<Vector>& data,
                         const RbmTrainConfig& config) {
   if (data.empty()) return 0.0;
-  double err_acc = 0.0;
   const auto order = rng_.permutation(data.size());
 
   if (config.batch_size > 1)
     return train_epoch_minibatch(data, config, order);
 
-  if (config.fused_kernels) {
-    // Phase buffers live across the epoch; the CD-1 weight step is one
-    // fused pass (momentum_update2) instead of building an explicit
-    // gradient matrix per sample. RNG consumption matches the legacy path
-    // exactly (one permutation + one Bernoulli draw per hidden unit).
-    Vector h0_probs;
-    Vector h0;
-    Vector v1;
-    Vector h1_probs;
-    for (std::size_t idx : order) {
-      const Vector& v0 = data[idx];
-      if (v0.size() != n_visible())
-        throw std::invalid_argument("Rbm::train_epoch: sample size mismatch");
-
-      // Positive phase.
-      weights_.multiply_into(v0, h0_probs);
-      add_inplace(h0_probs, hidden_bias_);
-      sigmoid_inplace(h0_probs);
-      if (config.sample_hidden) {
-        h0.assign(h0_probs.size(), 0.0);
-        for (std::size_t i = 0; i < h0_probs.size(); ++i)
-          h0[i] = rng_.bernoulli(h0_probs[i]) ? 1.0 : 0.0;
-      }
-      const Vector& h0_state = config.sample_hidden ? h0 : h0_probs;
-
-      // Negative phase (one Gibbs step, probabilities for the statistics).
-      weights_.multiply_transposed_into(h0_state, v1);
-      add_inplace(v1, visible_bias_);
-      sigmoid_inplace(v1);
-      weights_.multiply_into(v1, h1_probs);
-      add_inplace(h1_probs, hidden_bias_);
-      sigmoid_inplace(h1_probs);
-
-      momentum_update2(weights_, momentum_w_, h0_probs, v0, h1_probs, v1,
-                       config.momentum, config.learning_rate,
-                       -config.weight_decay);
-
-      kernels::bias_momentum2_n(hidden_bias_.data(), momentum_h_.data(),
-                                h0_probs.data(), h1_probs.data(),
-                                config.momentum, config.learning_rate,
-                                n_hidden());
-      kernels::bias_momentum2_n(visible_bias_.data(), momentum_v_.data(),
-                                v0.data(), v1.data(), config.momentum,
-                                config.learning_rate, n_visible());
-
-      err_acc += mse(v0, v1);
-    }
-    OBS_COUNTER_ADD("ann.kernel.gemv", data.size() * 2);
-    OBS_COUNTER_ADD("ann.kernel.gemv_t", data.size());
-    OBS_COUNTER_ADD("ann.kernel.sigmoid", data.size() * 3);
-    OBS_COUNTER_ADD("ann.kernel.momentum", data.size());
-    return err_acc / static_cast<double>(data.size());
-  }
-
+  // Phase buffers live across the epoch; the CD-1 weight step is one fused
+  // pass (momentum_update2) instead of building an explicit gradient matrix
+  // per sample. RNG consumption: one permutation per epoch, one Bernoulli
+  // draw per hidden unit per sample.
+  double err_acc = 0.0;
+  Vector h0_probs;
+  Vector h0;
+  Vector v1;
+  Vector h1_probs;
   for (std::size_t idx : order) {
     const Vector& v0 = data[idx];
     if (v0.size() != n_visible())
       throw std::invalid_argument("Rbm::train_epoch: sample size mismatch");
 
     // Positive phase.
-    const Vector h0_probs = hidden_probs(v0);
-    const Vector h0 =
-        config.sample_hidden ? sample_bernoulli(h0_probs) : h0_probs;
+    weights_.multiply_into(v0, h0_probs);
+    add_inplace(h0_probs, hidden_bias_);
+    sigmoid_inplace(h0_probs);
+    if (config.sample_hidden) {
+      h0.assign(h0_probs.size(), 0.0);
+      for (std::size_t i = 0; i < h0_probs.size(); ++i)
+        h0[i] = rng_.bernoulli(h0_probs[i]) ? 1.0 : 0.0;
+    }
+    const Vector& h0_state = config.sample_hidden ? h0 : h0_probs;
 
     // Negative phase (one Gibbs step, probabilities for the statistics).
-    const Vector v1 = visible_probs(h0);
-    const Vector h1_probs = hidden_probs(v1);
+    weights_.multiply_transposed_into(h0_state, v1);
+    add_inplace(v1, visible_bias_);
+    sigmoid_inplace(v1);
+    weights_.multiply_into(v1, h1_probs);
+    add_inplace(h1_probs, hidden_bias_);
+    sigmoid_inplace(h1_probs);
 
-    // Gradient with momentum and weight decay.
-    Matrix grad(n_hidden(), n_visible());
-    grad.add_outer(h0_probs, v0, 1.0);
-    grad.add_outer(h1_probs, v1, -1.0);
-    grad.add_scaled(weights_, -config.weight_decay);
+    momentum_update2(weights_, momentum_w_, h0_probs, v0, h1_probs, v1,
+                     config.momentum, config.learning_rate,
+                     -config.weight_decay);
 
-    momentum_w_.scale(config.momentum);
-    momentum_w_.add_scaled(grad, config.learning_rate);
-    weights_.add_scaled(momentum_w_, 1.0);
-
-    for (std::size_t i = 0; i < n_hidden(); ++i) {
-      momentum_h_[i] = config.momentum * momentum_h_[i] +
-                       config.learning_rate * (h0_probs[i] - h1_probs[i]);
-      hidden_bias_[i] += momentum_h_[i];
-    }
-    for (std::size_t i = 0; i < n_visible(); ++i) {
-      momentum_v_[i] = config.momentum * momentum_v_[i] +
-                       config.learning_rate * (v0[i] - v1[i]);
-      visible_bias_[i] += momentum_v_[i];
-    }
+    kernels::bias_momentum2_n(hidden_bias_.data(), momentum_h_.data(),
+                              h0_probs.data(), h1_probs.data(),
+                              config.momentum, config.learning_rate,
+                              n_hidden());
+    kernels::bias_momentum2_n(visible_bias_.data(), momentum_v_.data(),
+                              v0.data(), v1.data(), config.momentum,
+                              config.learning_rate, n_visible());
 
     err_acc += mse(v0, v1);
   }
+  OBS_COUNTER_ADD("ann.kernel.gemv", data.size() * 2);
+  OBS_COUNTER_ADD("ann.kernel.gemv_t", data.size());
+  OBS_COUNTER_ADD("ann.kernel.sigmoid", data.size() * 3);
+  OBS_COUNTER_ADD("ann.kernel.momentum", data.size());
   return err_acc / static_cast<double>(data.size());
 }
 

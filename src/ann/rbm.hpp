@@ -22,10 +22,6 @@ struct RbmTrainConfig {
   double momentum = 0.5;
   double weight_decay = 1e-4;
   bool sample_hidden = true;  ///< Stochastic hidden states in the positive phase.
-  /// Fused CD-1 momentum step + reused phase buffers. Same update rule as
-  /// the legacy path but with a different floating-point evaluation order;
-  /// set false to reproduce the original sequence bit-for-bit.
-  bool fused_kernels = true;
   /// Samples per CD-1 weight update. 1 (default) reproduces the per-sample
   /// sequence bit-for-bit. >1 runs the Gibbs phases as batch GEMM passes
   /// and applies the averaged CD statistics once per batch; hidden-state
@@ -64,7 +60,6 @@ class Rbm {
   const Vector& visible_bias() const noexcept { return visible_bias_; }
 
  private:
-  Vector sample_bernoulli(const Vector& probs);
   double train_epoch_minibatch(const std::vector<Vector>& data,
                                const RbmTrainConfig& config,
                                const std::vector<std::size_t>& order);

@@ -1,15 +1,17 @@
 #include "obs/analysis/inspect.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/analysis/attribution.hpp"
-#include "obs/analysis/bench_check.hpp"
 #include "obs/analysis/json_mini.hpp"
 #include "obs/analysis/ledger.hpp"
 #include "obs/analysis/profile.hpp"
@@ -33,11 +35,6 @@ constexpr const char* kUsage =
     " conservation audit\n"
     "  dmr <trace>                      deadline-miss attribution\n"
     "  diff <runA.json> <runB.json>     compare two run manifests\n"
-    "  check-bench <old.json> <new.json> [<old2> <new2> ...]\n"
-    "              [--max-regress 15%]  fail on bench regression; pipeline\n"
-    "                                   (\"runs\": total_ms/train_ms) and\n"
-    "                                   kernel (\"kernels\": Gflop/s)\n"
-    "                                   schemas, sniffed per pair\n"
     "  profile <trace.json> [--folded <out>]\n"
     "                                   fold a Chrome trace into per-span\n"
     "                                   self/total times; --folded writes\n"
@@ -66,6 +63,27 @@ constexpr const char* kUsage =
     "2 usage or I/O error.\n";
 
 using util::read_file;
+
+/// The one parser for numeric flag values: unsigned digits only (decimal,
+/// or 0x-prefixed hex when `allow_hex`), no sign, no trailing text, no
+/// overflow. `--max-rows -1` would otherwise wrap to 2^64-1 and `3junk`
+/// would run as 3. Throws naming the flag; run_inspect exits 2.
+std::uint64_t parse_flag_u64(const std::string& flag, const std::string& text,
+                             bool allow_hex = false) {
+  const bool hex = allow_hex && text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+  const char* digits = text.c_str() + (hex ? 2 : 0);
+  const unsigned char first = static_cast<unsigned char>(*digits);
+  const bool leading_digit = hex ? std::isxdigit(first) : std::isdigit(first);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value =
+      leading_digit ? std::strtoull(digits, &end, hex ? 16 : 10) : 0;
+  if (!leading_digit || end != text.c_str() + text.size() || errno == ERANGE)
+    throw std::runtime_error(flag + " needs an unsigned integer, got '" +
+                             text + "'");
+  return static_cast<std::uint64_t>(value);
+}
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
@@ -234,36 +252,6 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   return 1;
 }
 
-int cmd_check_bench(
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    const std::string& bound_text) {
-  const double bound = parse_regress_fraction(bound_text);
-  bool all_ok = true;
-  for (const auto& [old_path, new_path] : pairs) {
-    const BenchCheckResult r =
-        check_bench(read_file(old_path), read_file(new_path), bound);
-    if (pairs.size() > 1)
-      std::printf("== %s vs %s ==\n", old_path.c_str(), new_path.c_str());
-    util::TextTable table;
-    table.set_header({"run", "metric", "old", "new", "ratio", "verdict"});
-    for (const BenchDelta& d : r.deltas)
-      table.add_row({d.run, d.metric, util::fmt(d.old_ms, 2),
-                     util::fmt(d.new_ms, 2), util::fmt(d.ratio, 3),
-                     d.regressed ? "REGRESSED" : "ok"});
-    std::printf("%s", table.str().c_str());
-    for (const std::string& name : r.only_old)
-      std::printf("note: run \"%s\" only in baseline\n", name.c_str());
-    for (const std::string& name : r.only_new)
-      std::printf("note: run \"%s\" only in candidate\n", name.c_str());
-    std::printf("\n%s\n", r.message.c_str());
-    all_ok = all_ok && r.ok;
-  }
-  if (pairs.size() > 1)
-    std::printf("check-bench overall: %s (%zu file pairs)\n",
-                all_ok ? "ok" : "FAILED", pairs.size());
-  return all_ok ? 0 : 1;
-}
-
 int cmd_profile(const std::string& trace_path, const std::string& folded_out) {
   const SpanProfile profile = profile_trace(read_file(trace_path));
   std::printf("%s", profile_table(profile).c_str());
@@ -374,7 +362,7 @@ int run_inspect(int argc, const char* const* argv) {
       if (args.size() == 4) {
         if (args[2] != "--max-rows") throw std::runtime_error(
             "unknown flag: " + args[2]);
-        max_rows = static_cast<std::size_t>(std::stoull(args[3]));
+        max_rows = static_cast<std::size_t>(parse_flag_u64(args[2], args[3]));
       }
       return cmd_ledger(args[1], max_rows);
     }
@@ -382,29 +370,6 @@ int run_inspect(int argc, const char* const* argv) {
     if (cmd == "dmr" && args.size() == 2) return cmd_dmr(args[1]);
 
     if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
-
-    if (cmd == "check-bench" && args.size() >= 3) {
-      std::string bound = "15%";
-      std::vector<std::string> files;
-      for (std::size_t i = 1; i < args.size(); ++i) {
-        if (args[i] == "--max-regress") {
-          if (i + 1 >= args.size())
-            throw std::runtime_error("--max-regress needs a value");
-          bound = args[++i];
-        } else if (!args[i].empty() && args[i][0] == '-') {
-          throw std::runtime_error("unknown flag: " + args[i]);
-        } else {
-          files.push_back(args[i]);
-        }
-      }
-      if (files.empty() || files.size() % 2 != 0)
-        throw std::runtime_error(
-            "check-bench needs baseline/candidate file pairs");
-      std::vector<std::pair<std::string, std::string>> pairs;
-      for (std::size_t i = 0; i < files.size(); i += 2)
-        pairs.emplace_back(files[i], files[i + 1]);
-      return cmd_check_bench(pairs, bound);
-    }
 
     if (cmd == "profile" && (args.size() == 2 || args.size() == 4)) {
       std::string folded_out;
@@ -426,9 +391,9 @@ int run_inspect(int argc, const char* const* argv) {
               .count());
       for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
         if (args[i] == "--max-age-ms")
-          max_age_ms = std::stoull(args[i + 1]);
+          max_age_ms = parse_flag_u64(args[i], args[i + 1]);
         else if (args[i] == "--now-ms")
-          now_ms = std::stoull(args[i + 1]);
+          now_ms = parse_flag_u64(args[i], args[i + 1]);
         else
           throw std::runtime_error("unknown flag: " + args[i]);
       }
@@ -445,7 +410,9 @@ int run_inspect(int argc, const char* const* argv) {
         if (args[i] == "--trace-id") {
           if (i + 1 >= args.size())
             throw std::runtime_error("--trace-id needs a value");
-          trace_id = std::stoull(args[++i], nullptr, 0);  // 0x... or decimal.
+          trace_id =
+              parse_flag_u64(args[i], args[i + 1], /*allow_hex=*/true);
+          ++i;
           if (trace_id == 0)
             throw std::runtime_error("--trace-id must be nonzero");
         } else if (args[i] == "--merged-out") {

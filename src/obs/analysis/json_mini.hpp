@@ -1,8 +1,8 @@
 // Minimal recursive JSON reader for the trace-analytics layer.
 //
-// The analysis subsystem consumes three in-repo JSON dialects — the bench
-// baseline (BENCH_pipeline.json), metrics snapshots and run manifests — and
-// validates the Chrome trace_event sink in tests. All are machine-written,
+// The analysis subsystem consumes the repo's own JSON — run manifests,
+// metrics snapshots, campaign and daemon status files, Chrome trace_event
+// dumps — and validates the trace sink in tests. All are machine-written,
 // so this parser favours strictness and zero dependencies over speed: full
 // value grammar (null/bool/number/string/array/object), \uXXXX escapes
 // decoded to UTF-8, std::runtime_error with byte offset on any deviation.

@@ -69,7 +69,6 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
 
   PeriodOptimizer optimizer(graph, config.pmu, config.regulators,
                             config.leakage, config.v_low, config.v_high, dt);
-  optimizer.set_fast_eval(!config_.legacy_eval);
 
   // One funnel for every option-set derivation: quantize the start voltage
   // (identically with or without the cache, so cached and uncached runs

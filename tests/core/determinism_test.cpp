@@ -218,6 +218,10 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
     std::vector<ComparisonRow> rows;
     sched::OptionCacheStats cache;
     std::uint64_t dp_evaluations = 0;
+    std::uint64_t pareto_calls = 0;
+    std::uint64_t pareto_subset_evals = 0;
+    std::size_t n_samples = 0;
+    std::size_t total_periods = 0;
   };
   auto run_at = [&](std::size_t threads) {
     util::ThreadPool::set_global_threads(threads);
@@ -227,10 +231,15 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
     obs::MetricsRegistry::global().reset();
     Run run;
     run.rows = run_comparison(graph, held_out, node, &trained, cmp);
-    run.dp_evaluations = obs::MetricsRegistry::global().snapshot().counter_or(
-        "sched.dp.evaluations");
+    const auto counters = obs::MetricsRegistry::global().snapshot();
+    run.dp_evaluations = counters.counter_or("sched.dp.evaluations");
+    run.pareto_calls = counters.counter_or("sched.pareto.calls");
+    run.pareto_subset_evals = counters.counter_or("sched.pareto.subset_evals");
     obs::set_enabled(false);
     run.cache = trained.option_cache->stats();
+    run.n_samples = trained.n_samples;
+    for (const ComparisonRow& row : run.rows)
+      run.total_periods += row.sim.periods.size();
     return run;
   };
   const Run serial = run_at(1);
@@ -254,15 +263,26 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.sim.total_loss_j(), b.sim.total_loss_j()) << a.id;
   }
 
-  // The row really solved a DP, and the shared cache's counters are
-  // thread-count independent (single-flight lookups, no eviction).
-  EXPECT_GT(serial.dp_evaluations, 0u);
-  EXPECT_EQ(serial.dp_evaluations, threaded.dp_evaluations);
-  EXPECT_EQ(serial.cache.hits, threaded.cache.hits);
-  EXPECT_EQ(serial.cache.misses, threaded.cache.misses);
-  EXPECT_EQ(serial.cache.entries, threaded.cache.entries);
-  EXPECT_EQ(serial.cache.evictions, 0u);
-  EXPECT_EQ(threaded.cache.misses, threaded.cache.entries);
+  // Work-count pin: how much each layer does for this fixed input, at both
+  // thread counts. The row really solves a DP, the shared cache's counters
+  // are thread-count independent (single-flight lookups, no eviction), and
+  // a change that drops or repeats work (an extra pareto sweep, a lost
+  // cache hit, a skipped training sample) fails here by layer even when
+  // every row above still agrees across thread counts.
+  for (const Run* run : {&serial, &threaded}) {
+    EXPECT_EQ(run->cache.evictions, 0u) << "sched.option_cache layer";
+    EXPECT_EQ(run->dp_evaluations, 145u) << "sched.dp layer: DP evaluations";
+    EXPECT_EQ(run->pareto_calls, 77u)
+        << "sched.pareto layer: pareto_options calls";
+    EXPECT_EQ(run->pareto_subset_evals, 616u)
+        << "sched.pareto layer: subset evaluations";
+    EXPECT_EQ(run->cache.hits, 220u) << "sched.option_cache layer: hits";
+    EXPECT_EQ(run->cache.misses, 163u) << "sched.option_cache layer: misses";
+    EXPECT_EQ(run->cache.entries, 163u) << "sched.option_cache layer: entries";
+    EXPECT_EQ(run->n_samples, 48u) << "core.pipeline layer: training samples";
+    EXPECT_EQ(run->total_periods, 192u)
+        << "nvp.simulate layer: periods simulated over the rows";
+  }
 }
 
 }  // namespace
