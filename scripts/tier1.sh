@@ -17,7 +17,7 @@
 # SOLSCHED_SIMD=OFF scalar-fallback build with a cross-build
 # controller-decision check, a 1-vs-4-thread journal comparison with the
 # Optimal row's nested DP, plus the concurrency/obs/telemetry/serve/
-# tsdb/sched/durable suites rerun under ThreadSanitizer, the fault suite
+# tsdb/sched/durable/campaign suites rerun under ThreadSanitizer, the fault suite
 # rerun under UndefinedBehaviorSanitizer, and the simd parity, sched and
 # durable suites rerun under AddressSanitizer+UBSan.
 #
@@ -27,9 +27,10 @@
 # full ctest); the scalar phase proves the kernel layer's bit-exactness
 # contract end to end (identical campaign decision fingerprints on the wam
 # and ecg workloads from both builds); the TSan phase rebuilds only to run
-# `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"` — the
-# label families with real cross-thread traffic (durable: concurrent
-# AppendLog appends); the UBSan phase runs `ctest -L fault` — the
+# `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched|durable|campaign"`
+# — the label families with real cross-thread traffic (durable: concurrent
+# AppendLog appends; campaign: controllers published by the training lane
+# to the shards beside it); the UBSan phase runs `ctest -L fault` — the
 # injection paths push NaN and out-of-range values through the decoders,
 # exactly where UB would hide; the ASan+UBSan phase runs
 # `ctest -L "simd|sched|durable"` — the vector kernels' tails and pack
@@ -271,15 +272,17 @@ sort "$XBUILD_TMP/threads4/journal.jsonl" > "$XBUILD_TMP/threads4.sorted"
 cmp "$XBUILD_TMP/threads1.sorted" "$XBUILD_TMP/threads4.sorted"
 echo "1-thread and 4-thread campaigns journal bit-identical records"
 
-echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable ($TSAN_DIR) =="
+echo "== tier 1: TSan rerun of concurrency + obs + telemetry + serve + tsdb + sched + durable + campaign ($TSAN_DIR) =="
 # sched rides along because the registry is consulted concurrently from
 # every comparison job and the zoo suite runs 4-thread sweeps — exactly
 # where a mutable-registry regression would race. durable rides along for
-# its N-thread AppendLog append test.
+# its N-thread AppendLog append test. campaign rides along because a cold
+# run_campaign publishes each trained controller from the training lane
+# to the shards running beside it.
 cmake -B "$TSAN_DIR" -S . -DSOLSCHED_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable"
+  -L "concurrency|obs|telemetry|serve|tsdb|sched|durable|campaign"
 
 echo "== tier 1: UBSan rerun of fault suite ($UBSAN_DIR) =="
 cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined

@@ -15,6 +15,9 @@
 // so normalizing both the hit and the miss path through the same round trip
 // makes every scenario's rows bit-identical regardless of whether its
 // artifact was cached — the property the crash/resume contract rests on.
+// The same holds for rows computed before a controller exists: on a miss
+// the runner starts the controller-free rows on core::deployed_node(sized
+// node), the node as this round trip rebuilds it, while training runs.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,16 @@
 // Sharded campaign execution (DESIGN.md §13).
 //
-// run_campaign expands the spec into shards, trains (or cache-loads) one
-// controller per unique offline configuration, then executes the remaining
-// shards over util::ThreadPool — the pool's fetch_add index claiming gives
-// dynamic load balancing for free — journaling each completion with an
-// fsync'd append. Aggregates are a pure function of the journal, so a
-// campaign killed at any instant resumes from the journal to bit-identical
-// results at any thread count.
+// run_campaign expands the spec into shards, cache-loads one controller per
+// unique offline configuration, and runs the rest as one job set over
+// util::ThreadPool — the pool's fetch_add index claiming gives dynamic load
+// balancing for free — journaling each completion with an fsync'd append.
+// Cache misses are labelled by the DP oracle on the set's first job (the
+// training lane) and fitted on whichever job frees up, while the shards
+// start beside them: a shard of a still-training workload runs its
+// controller-free rows at once and its controller rows once the reloaded
+// controller lands (DESIGN.md §13, "Cold schedule"). Aggregates are a pure function of the journal, so a campaign
+// killed at any instant resumes from the journal to bit-identical results
+// at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,8 @@ struct CampaignConfig {
                           ///< cache across campaigns dedups training further.
   /// Stop claiming new shards once this many completed *in this process*
   /// (0 = run everything). The deterministic stand-in for a mid-flight kill:
-  /// journaled work is exactly a prefix-by-count of the remaining shards.
+  /// shards in flight finish and journal, nothing new starts, and shards
+  /// deferred on a training stay unjournaled for the resume to recompute.
   std::size_t stop_after = 0;
   /// Telemetry cadence (DESIGN.md §15). Only consulted when observability
   /// is enabled — with SOLSCHED_OBS unset no bus is constructed and every

@@ -11,7 +11,50 @@ namespace solsched::core {
 
 namespace {
 constexpr const char* kMagic = "solsched-controller-v1";
+
+void expect(std::istream& in, const char* keyword) {
+  std::string token;
+  if (!(in >> token) || token != keyword)
+    throw std::invalid_argument(
+        std::string("deserialize_controller: expected ") + keyword);
 }
+
+/// The node slice of the bundle: grid, bank and the voltage window. Every
+/// other NodeConfig field is left at the library default by read_node.
+void write_node(std::ostream& out, const nvp::NodeConfig& node) {
+  out << "grid " << node.grid.n_days << ' ' << node.grid.n_periods << ' '
+      << node.grid.n_slots << ' ' << node.grid.dt_s << '\n';
+
+  out << "caps " << node.capacities_f.size();
+  for (double c : node.capacities_f) out << ' ' << c;
+  out << '\n';
+
+  out << "node " << node.v_low << ' ' << node.v_high << ' '
+      << node.initial_cap << ' ' << node.initial_usable_j << '\n';
+}
+
+void read_node(std::istream& in, nvp::NodeConfig* node) {
+  expect(in, "grid");
+  if (!(in >> node->grid.n_days >> node->grid.n_periods >>
+        node->grid.n_slots >> node->grid.dt_s))
+    throw std::invalid_argument("deserialize_controller: bad grid");
+
+  expect(in, "caps");
+  std::size_t n_caps = 0;
+  if (!(in >> n_caps) || n_caps == 0)
+    throw std::invalid_argument("deserialize_controller: bad cap count");
+  node->capacities_f.assign(n_caps, 0.0);
+  for (double& c : node->capacities_f)
+    if (!(in >> c))
+      throw std::invalid_argument("deserialize_controller: bad capacity");
+
+  expect(in, "node");
+  if (!(in >> node->v_low >> node->v_high >> node->initial_cap >>
+        node->initial_usable_j))
+    throw std::invalid_argument("deserialize_controller: bad node");
+}
+
+}  // namespace
 
 std::string serialize_controller(const TrainedController& controller) {
   const sched::ProposedModel& model = controller.model;
@@ -20,18 +63,7 @@ std::string serialize_controller(const TrainedController& controller) {
   out.precision(17);
   out << kMagic << '\n';
 
-  out << "grid " << controller.node.grid.n_days << ' '
-      << controller.node.grid.n_periods << ' '
-      << controller.node.grid.n_slots << ' ' << controller.node.grid.dt_s
-      << '\n';
-
-  out << "caps " << controller.node.capacities_f.size();
-  for (double c : controller.node.capacities_f) out << ' ' << c;
-  out << '\n';
-
-  out << "node " << controller.node.v_low << ' ' << controller.node.v_high
-      << ' ' << controller.node.initial_cap << ' '
-      << controller.node.initial_usable_j << '\n';
+  write_node(out, controller.node);
 
   out << "model " << model.n_slots << ' ' << model.n_tasks << ' '
       << model.alpha_cap << '\n';
@@ -58,44 +90,20 @@ TrainedController deserialize_controller(const std::string& text) {
     throw std::invalid_argument("deserialize_controller: bad magic");
 
   TrainedController out;
+  read_node(in, &out.node);
 
-  auto expect = [&](const char* keyword) {
-    if (!(in >> token) || token != keyword)
-      throw std::invalid_argument(
-          std::string("deserialize_controller: expected ") + keyword);
-  };
-
-  expect("grid");
-  if (!(in >> out.node.grid.n_days >> out.node.grid.n_periods >>
-        out.node.grid.n_slots >> out.node.grid.dt_s))
-    throw std::invalid_argument("deserialize_controller: bad grid");
-
-  expect("caps");
-  std::size_t n_caps = 0;
-  if (!(in >> n_caps) || n_caps == 0)
-    throw std::invalid_argument("deserialize_controller: bad cap count");
-  out.node.capacities_f.assign(n_caps, 0.0);
-  for (double& c : out.node.capacities_f)
-    if (!(in >> c))
-      throw std::invalid_argument("deserialize_controller: bad capacity");
-
-  expect("node");
-  if (!(in >> out.node.v_low >> out.node.v_high >> out.node.initial_cap >>
-        out.node.initial_usable_j))
-    throw std::invalid_argument("deserialize_controller: bad node");
-
-  expect("model");
+  expect(in, "model");
   if (!(in >> out.model.n_slots >> out.model.n_tasks >> out.model.alpha_cap))
     throw std::invalid_argument("deserialize_controller: bad model header");
 
-  expect("online");
+  expect(in, "online");
   int greedy = 0;
   if (!(in >> out.online.e_th_j >> out.online.delta >>
         out.online.margin_slots >> greedy >> out.online.fill_fraction))
     throw std::invalid_argument("deserialize_controller: bad thresholds");
   out.online.greedy_bank = greedy != 0;
 
-  expect("norm");
+  expect(in, "norm");
   std::size_t dims = 0;
   if (!(in >> dims) || dims == 0)
     throw std::invalid_argument("deserialize_controller: bad norm dims");
@@ -120,6 +128,17 @@ TrainedController deserialize_controller(const std::string& text) {
   // here, with every finding listed, rather than deep inside a simulation.
   out.node.validate();
   return out;
+}
+
+nvp::NodeConfig deployed_node(const nvp::NodeConfig& node) {
+  std::ostringstream out;
+  out.precision(17);
+  write_node(out, node);
+  std::istringstream in(out.str());
+  nvp::NodeConfig deployed;
+  read_node(in, &deployed);
+  deployed.validate();
+  return deployed;
 }
 
 bool save_controller(const TrainedController& controller,

@@ -21,6 +21,12 @@ std::string serialize_controller(const TrainedController& controller);
 /// defaults. Throws std::invalid_argument on malformed input.
 TrainedController deserialize_controller(const std::string& text);
 
+/// The node exactly as deserialize_controller() rebuilds it from a bundle
+/// serialized with `node`: grid, bank and voltage window survive, every
+/// other field reverts to the library default. Lets a caller simulate on a
+/// controller's deployed node before the controller itself exists.
+nvp::NodeConfig deployed_node(const nvp::NodeConfig& node);
+
 /// File convenience wrappers; save (atomic) returns false on I/O failure,
 /// load throws on I/O failure or parse errors.
 bool save_controller(const TrainedController& controller,

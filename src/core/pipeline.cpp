@@ -12,6 +12,9 @@
 namespace solsched::core {
 namespace {
 
+/// Scale of the α output: labels are α / kAlphaCap, clamped to [0, 1].
+constexpr double kAlphaCap = 3.0;
+
 /// Wraps the DP oracle, capturing (observable input, oracle decision) pairs
 /// while the oracle executes on the training trace.
 class SampleRecorder final : public nvp::Scheduler {
@@ -66,15 +69,13 @@ class SampleRecorder final : public nvp::Scheduler {
 
 }  // namespace
 
-TrainedController train_pipeline(const task::TaskGraph& graph,
-                                 const solar::SolarTrace& training_trace,
-                                 const nvp::NodeConfig& base,
-                                 const PipelineConfig& config) {
-  TrainedController out;
-  out.node = base;
-  out.online = config.online;
-
+SizedNode size_node(const task::TaskGraph& graph,
+                    const solar::SolarTrace& training_trace,
+                    const nvp::NodeConfig& base,
+                    const PipelineConfig& config) {
   // ---- Step 1: capacitor sizing -----------------------------------------
+  SizedNode out;
+  out.node = base;
   if (config.run_sizing) {
     OBS_SPAN("pipeline.sizing");
     sizing::SizingConfig sizing_cfg = config.sizing;
@@ -88,17 +89,39 @@ TrainedController train_pipeline(const task::TaskGraph& graph,
     out.node.capacities_f = out.sizing.capacities_f;
     out.node.initial_cap = 0;
   }
+  return out;
+}
+
+TrainedController train_pipeline(const task::TaskGraph& graph,
+                                 const solar::SolarTrace& training_trace,
+                                 const nvp::NodeConfig& base,
+                                 const PipelineConfig& config) {
+  std::vector<ann::Sample> samples;
+  TrainedController out =
+      run_oracle(graph, training_trace,
+                 size_node(graph, training_trace, base, config), config,
+                 &samples);
+  fit_dbn(graph, training_trace, std::move(samples), config, &out);
+  return out;
+}
+
+TrainedController run_oracle(const task::TaskGraph& graph,
+                             const solar::SolarTrace& training_trace,
+                             SizedNode sized, const PipelineConfig& config,
+                             std::vector<ann::Sample>* samples) {
+  TrainedController out;
+  out.node = std::move(sized.node);
+  out.sizing = std::move(sized.sizing);
+  out.online = config.online;
 
   // ---- Step 2: DP oracle on the training trace + sample recording --------
   const solar::TimeGrid& grid = training_trace.grid();
-  const double alpha_cap = 3.0;
   sched::OptimalConfig dp_cfg = config.dp;
   if (dp_cfg.use_option_cache && !dp_cfg.shared_cache)
     dp_cfg.shared_cache = std::make_shared<sched::PeriodOptionCache>();
   sched::OptimalScheduler oracle(dp_cfg);
   SampleRecorder recorder(oracle, grid.n_slots, out.node.capacities_f.size(),
-                          graph.size(), alpha_cap);
-  std::vector<ann::Sample> samples;
+                          graph.size(), kAlphaCap);
   {
     OBS_SPAN("pipeline.oracle");
     const nvp::SimResult oracle_run =
@@ -107,44 +130,50 @@ TrainedController train_pipeline(const task::TaskGraph& graph,
     out.lut = oracle.lut();
     out.option_cache = dp_cfg.shared_cache;
     out.dp_cache_stats = oracle.option_cache_stats();
-    samples = recorder.take_samples();
+    *samples = recorder.take_samples();
   }
-  out.n_samples = samples.size();
-  OBS_COUNTER_ADD("pipeline.samples", samples.size());
+  out.n_samples = samples->size();
+  OBS_COUNTER_ADD("pipeline.samples", samples->size());
+  return out;
+}
 
+void fit_dbn(const task::TaskGraph& graph,
+             const solar::SolarTrace& training_trace,
+             std::vector<ann::Sample> samples, const PipelineConfig& config,
+             TrainedController* out) {
   // ---- Step 3: DBN training ----------------------------------------------
   // Normalize inputs by physical ranges: solar slots by the trace peak,
   // voltages by V_H, accumulated DMR is already in [0, 1].
+  const solar::TimeGrid& grid = training_trace.grid();
+  const std::size_t n_caps = out->node.capacities_f.size();
   const double solar_max = std::max(1e-6, training_trace.peak_power_w());
-  const std::size_t n_in =
-      grid.n_slots + out.node.capacities_f.size() + 1;
+  const std::size_t n_in = grid.n_slots + n_caps + 1;
   ann::Vector mins(n_in, 0.0), maxs(n_in, 1.0);
   for (std::size_t m = 0; m < grid.n_slots; ++m) maxs[m] = solar_max;
-  for (std::size_t h = 0; h < out.node.capacities_f.size(); ++h)
-    maxs[grid.n_slots + h] = base.v_high;
+  for (std::size_t h = 0; h < n_caps; ++h)
+    maxs[grid.n_slots + h] = out->node.v_high;
   ann::Normalizer norm;
   norm.set_ranges(std::move(mins), std::move(maxs));
 
   for (auto& s : samples) s.x = norm.transform(s.x);
 
-  const std::size_t n_out = out.node.capacities_f.size() + 1 + graph.size();
+  const std::size_t n_out = n_caps + 1 + graph.size();
   auto dbn = std::make_shared<ann::Dbn>(n_in, n_out, config.dbn);
   ann::DbnTrainReport report;
   {
     OBS_SPAN("pipeline.dbn_train");
     report = dbn->train(samples);
   }
-  out.train_mse = report.finetune_loss;
-  OBS_GAUGE_SET("pipeline.train_mse", out.train_mse);
+  out->train_mse = report.finetune_loss;
+  OBS_GAUGE_SET("pipeline.train_mse", out->train_mse);
   OBS_COUNTER_ADD("pipeline.runs", 1);
 
-  out.model.dbn = std::move(dbn);
-  out.model.input_norm = std::move(norm);
-  out.model.capacities_f = out.node.capacities_f;
-  out.model.n_slots = grid.n_slots;
-  out.model.n_tasks = graph.size();
-  out.model.alpha_cap = alpha_cap;
-  return out;
+  out->model.dbn = std::move(dbn);
+  out->model.input_norm = std::move(norm);
+  out->model.capacities_f = out->node.capacities_f;
+  out->model.n_slots = grid.n_slots;
+  out->model.n_tasks = graph.size();
+  out->model.alpha_cap = kAlphaCap;
 }
 
 std::unique_ptr<sched::ProposedScheduler> make_proposed(

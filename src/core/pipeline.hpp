@@ -61,8 +61,41 @@ struct TrainedController {
   sched::OptionCacheStats dp_cache_stats;  ///< Counters after the oracle run.
 };
 
-/// Runs the full offline flow. `base` supplies physics and grid; its
-/// capacitor list is replaced by sizing unless config.run_sizing is false.
+/// Step 1 of the offline flow: the node with its sized capacitor bank.
+struct SizedNode {
+  nvp::NodeConfig node;         ///< `base` with the sized bank.
+  sizing::SizingResult sizing;  ///< Daily optima and clusters.
+};
+
+/// Step 1 (Sec. 4.1): sizes `base`'s capacitor bank on the training trace;
+/// `base` is returned unchanged when config.run_sizing is false. It is
+/// cheap next to steps 2-3, so a caller can build on the sized node (e.g.
+/// run controller-free policies) while they run.
+SizedNode size_node(const task::TaskGraph& graph,
+                    const solar::SolarTrace& training_trace,
+                    const nvp::NodeConfig& base,
+                    const PipelineConfig& config = {});
+
+/// Step 2 (Sec. 4.2): runs the DP oracle on the training trace from the
+/// node size_node() returned. Returns the controller without its model —
+/// node, sizing, LUT, option cache, oracle DMR — and stores the oracle's
+/// labelled samples in `*samples`.
+TrainedController run_oracle(const task::TaskGraph& graph,
+                             const solar::SolarTrace& training_trace,
+                             SizedNode sized, const PipelineConfig& config,
+                             std::vector<ann::Sample>* samples);
+
+/// Step 3: trains the DBN on run_oracle()'s samples and installs it, with
+/// its input normalizer, as `controller->model`. Reads only the node of
+/// `*controller`, so the oracle's LUT and option cache may be dropped first.
+void fit_dbn(const task::TaskGraph& graph,
+             const solar::SolarTrace& training_trace,
+             std::vector<ann::Sample> samples, const PipelineConfig& config,
+             TrainedController* controller);
+
+/// Runs the full offline flow: size_node, run_oracle, fit_dbn. `base`
+/// supplies physics and grid; its capacitor list is replaced by sizing
+/// unless config.run_sizing is false.
 TrainedController train_pipeline(const task::TaskGraph& graph,
                                  const solar::SolarTrace& training_trace,
                                  const nvp::NodeConfig& base,

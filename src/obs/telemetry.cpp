@@ -217,6 +217,13 @@ void TelemetryBus::shard_failed(std::uint64_t shard, const std::string& what) {
   write_status_locked();
 }
 
+void TelemetryBus::shard_parked(std::uint64_t shard, bool parked) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  touch_locked(shard);
+  auto it = in_flight_.find(shard);
+  if (it != in_flight_.end()) it->second.parked = parked;
+}
+
 void TelemetryBus::campaign_finish(bool complete) {
   std::lock_guard<std::mutex> lock(mutex_);
   finish_seen_ = true;
@@ -242,7 +249,7 @@ void TelemetryBus::tick_locked() {
   const std::uint64_t now = now_us();
   const std::uint64_t window_us = options_.stall_ms * 1000;
   for (auto& [shard, f] : in_flight_) {
-    if (f.flagged || now - f.last_us <= window_us) continue;
+    if (f.flagged || f.parked || now - f.last_us <= window_us) continue;
     f.flagged = true;
     ++stalled_;
     const std::uint64_t quiet_ms = (now - f.last_us) / 1000;

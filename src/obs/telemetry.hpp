@@ -123,6 +123,11 @@ class TelemetryBus {
   void sim_start(std::uint64_t shard);
   void shard_done(std::uint64_t shard, bool artifact_hit);
   void shard_failed(std::uint64_t shard, const std::string& what);
+  /// Parks (true) or unparks (false) an in-flight shard without an event:
+  /// a parked shard waits on work outside itself (its controller still
+  /// training), so the watchdog skips it; unparking restarts its quiet
+  /// window.
+  void shard_parked(std::uint64_t shard, bool parked);
   void campaign_finish(bool complete);  ///< true → finished, false → stopped.
 
   /// One watchdog tick, callable directly (tests, serial drills): publishes
@@ -146,6 +151,7 @@ class TelemetryBus {
     std::uint64_t claimed_us = 0;  ///< steady now_us() at claim.
     std::uint64_t last_us = 0;     ///< steady now_us() of the last event.
     bool flagged = false;          ///< Stall warning already emitted.
+    bool parked = false;           ///< Waiting; exempt from the watchdog.
   };
   struct WorkloadProgress {
     std::size_t total = 0;

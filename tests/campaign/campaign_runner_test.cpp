@@ -1,6 +1,8 @@
 // Campaign runner acceptance tests: train-once dedup, warm-cache reruns,
-// and the headline property — a campaign killed mid-run resumes to
-// bit-identical aggregates at any thread count.
+// the headline property — a campaign killed mid-run resumes to
+// bit-identical aggregates at any thread count — and the cold schedule:
+// rows computed while the controllers still train equal the rows a warm
+// (cache-hit) run computes.
 #include "campaign/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +10,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../test_helpers.hpp"
 #include "campaign/report.hpp"
 #include "obs/metrics.hpp"
+#include "util/durable.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched::campaign {
@@ -32,10 +36,32 @@ CampaignSpec big_spec() {
                              std::string(kSharedKnobs));
 }
 
+// big_spec with a three-day training climate: sizing then keeps two
+// capacitors, and the one nearest the mean daily optimum (the baselines'
+// pick while the sizing table exists) is not the largest (their pick after
+// the cache round trip drops it). Rows computed on the pre-round-trip
+// controller therefore differ from a warm run's.
+CampaignSpec two_cap_spec() {
+  CampaignSpec spec = big_spec();
+  spec.train_days = 3;
+  return spec;
+}
+
 std::string fresh_dir(const char* name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// Journal lines with artifact_hit masked: the one field in which a cold
+// run's records may differ from a warm run's.
+std::vector<std::string> lines_without_hit(std::vector<ShardRecord> records) {
+  std::vector<std::string> lines;
+  for (ShardRecord& rec : records) {
+    rec.artifact_hit = false;
+    lines.push_back(rec.to_json());
+  }
+  return lines;
 }
 
 class CampaignRunner : public ::testing::Test {
@@ -156,6 +182,111 @@ TEST_F(CampaignRunner, KilledCampaignResumesBitIdentical) {
   // One training per workload across every execution above.
   const auto snap = obs::MetricsRegistry::global().snapshot();
   EXPECT_EQ(snap.counter_or("campaign.train.runs"), 2);
+}
+
+// Cold runs split each shard: controller-free rows run at once on the
+// early node, controller rows once the reloaded controller lands. Every
+// record must equal the warm (one-pass, cache-hit) run's except for
+// artifact_hit, at 1 thread (trainings finish first) and at 4 (shards run
+// beside the training lane and some defer).
+TEST_F(CampaignRunner, ColdRecordsEqualWarmRecordsAtOneAndFourThreads) {
+  const CampaignSpec spec = two_cap_spec();
+  std::vector<std::string> reference;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool::set_global_threads(threads);
+    CampaignConfig config;
+    config.spec = spec;
+    config.cache_dir = fresh_dir("camp_cold_cache");
+    config.dir = fresh_dir("camp_cold");
+    const CampaignResult cold = run_campaign(config);
+    ASSERT_TRUE(cold.finished);
+    EXPECT_EQ(cold.trainings, 2u);
+    EXPECT_EQ(cold.artifact_hits, 0u);
+
+    config.dir = fresh_dir("camp_cold_warm");
+    const CampaignResult warm = run_campaign(config);
+    ASSERT_TRUE(warm.finished);
+    EXPECT_EQ(warm.trainings, 0u);
+    EXPECT_EQ(warm.artifact_hits, warm.executed);
+
+    const std::vector<std::string> cold_lines = lines_without_hit(cold.records);
+    const std::vector<std::string> warm_lines = lines_without_hit(warm.records);
+    if (reference.empty()) reference = cold_lines;
+    ASSERT_EQ(cold_lines.size(), 64u);
+    ASSERT_EQ(warm_lines.size(), 64u);
+    ASSERT_EQ(reference.size(), 64u);
+    for (std::size_t i = 0; i < cold_lines.size(); ++i) {
+      ASSERT_EQ(cold_lines[i], warm_lines[i]) << "cold vs warm, shard " << i;
+      ASSERT_EQ(cold_lines[i], reference[i]) << "4 vs 1 thread, shard " << i;
+    }
+  }
+}
+
+// --stop-after while the training lane is still busy: wam (first in the
+// grid) trains cold while ecg's controller is already cached, so ecg
+// shards complete and trip the stop while wam shards sit deferred. The
+// deferred shards stay unjournaled and the resume recomputes them.
+TEST_F(CampaignRunner, StopWhileTrainingResumesBitIdentical) {
+  const CampaignSpec spec = CampaignSpec::parse(
+      "workloads=wam,ecg;seeds=1..16;intensities=0,1;" +
+      std::string(kSharedKnobs));
+  CampaignConfig config;
+  config.spec = spec;
+  config.cache_dir = fresh_dir("camp_stop_ref_cache");
+  config.dir = fresh_dir("camp_stop_ref");
+  util::ThreadPool::set_global_threads(1);
+  const std::string want = aggregate_json(run_campaign(config).records);
+
+  // Warm ecg only, in a fresh cache: artifact keys ignore the seed axis.
+  config.cache_dir = fresh_dir("camp_stop_cache");
+  config.spec = one_workload_spec();
+  config.dir = fresh_dir("camp_stop_ecg");
+  ASSERT_TRUE(run_campaign(config).finished);
+
+  util::ThreadPool::set_global_threads(4);
+  config.spec = spec;
+  config.dir = fresh_dir("camp_stop");
+  config.stop_after = 3;
+  const CampaignResult stopped = run_campaign(config);
+  EXPECT_FALSE(stopped.finished);
+  EXPECT_EQ(stopped.trainings, 1u);
+  EXPECT_GE(stopped.executed, 3u);
+  EXPECT_LT(stopped.executed, 64u);
+
+  config.stop_after = 0;
+  const CampaignResult resumed = run_campaign(config);
+  ASSERT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.trainings, 0u);
+  EXPECT_EQ(resumed.resumed, stopped.executed);
+  EXPECT_EQ(aggregate_json(resumed.records), want);
+}
+
+// A training whose artifact store fails (file-size limit) fails the run
+// with the store's typed util::IoError, not with anything the shards beside
+// it did; the rerun trains again and resumes bit-identically.
+TEST_F(CampaignRunner, FailedArtifactStoreSurfacesIoErrorAndRerunResumes) {
+  obs::set_enabled(false);  // Keep telemetry files out of the size limit.
+  const CampaignSpec spec = big_spec();
+  CampaignConfig config;
+  config.spec = spec;
+  config.cache_dir = fresh_dir("camp_store_ref_cache");
+  config.dir = fresh_dir("camp_store_ref");
+  const std::string want = aggregate_json(run_campaign(config).records);
+
+  util::ThreadPool::set_global_threads(4);
+  config.cache_dir = fresh_dir("camp_store_cache");
+  config.dir = fresh_dir("camp_store");
+  {
+    // Far above a journal header, far below a controller bundle; no shard
+    // of a cold workload journals before its controller exists.
+    const test::FileSizeLimit limit(1024);
+    EXPECT_THROW(run_campaign(config), util::IoError);
+  }
+  const CampaignResult rerun = run_campaign(config);
+  ASSERT_TRUE(rerun.finished);
+  EXPECT_EQ(rerun.trainings, 2u);
+  EXPECT_EQ(aggregate_json(rerun.records), want);
 }
 
 TEST_F(CampaignRunner, ResumeHealsCrashTornJournalTail) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -94,12 +95,17 @@ TEST_F(CampaignTelemetry, DisabledObsWritesNoTelemetryAndSameJournal) {
   EXPECT_EQ(slurp(config.dir + "/journal.jsonl"), on_journal);
 }
 
+// A cold run at 4 threads: shards run beside the training lane and may
+// defer, and the accounting must stay exact anyway.
 TEST_F(CampaignTelemetry, FinishedRunSnapshotAccounting) {
+  util::ThreadPool::set_global_threads(4);
   CampaignConfig config;
   config.spec = small_spec();
   config.dir = fresh_dir("ctel_done");
   const CampaignResult result = run_campaign(config);
   ASSERT_TRUE(result.finished);
+  EXPECT_EQ(result.trainings, 1u);
+  EXPECT_EQ(result.artifact_hits, 0u);
 
   const obs::analysis::CampaignStatus status = status_of(config.dir);
   EXPECT_EQ(status.state, "finished");
@@ -122,6 +128,52 @@ TEST_F(CampaignTelemetry, FinishedRunSnapshotAccounting) {
   std::snprintf(digest, sizeof(digest), "%016llx",
                 static_cast<unsigned long long>(config.spec.digest()));
   EXPECT_EQ(log.spec_digest, digest);
+}
+
+// A cold 4-thread run: shards start beside the training lane, and those
+// that finish their controller-free rows before their controller lands
+// wait parked. Each shard still publishes claimed -> sim.start -> done,
+// once each and in that order, and a parked shard is no straggler: the
+// stall window is far shorter than the (deliberately long) training but
+// far longer than any shard's own work.
+TEST_F(CampaignTelemetry, ColdRunPublishesShardEventsInOrderWithoutStall) {
+  util::ThreadPool::set_global_threads(4);
+  CampaignConfig config;
+  config.spec = big_spec();
+  config.spec.finetune_epochs = 15000;
+  config.dir = fresh_dir("ctel_cold");
+  config.telemetry_heartbeat_ms = 5;
+  config.telemetry_stall_ms = 100;
+  const CampaignResult result = run_campaign(config);
+  ASSERT_TRUE(result.finished);
+  EXPECT_EQ(result.trainings, 2u);
+
+  const obs::analysis::CampaignStatus status = status_of(config.dir);
+  EXPECT_EQ(status.state, "finished");
+  EXPECT_EQ(status.done, 64u);
+  EXPECT_EQ(status.in_flight, 0u);
+  EXPECT_EQ(status.stalled, 0u);
+
+  const obs::analysis::TelemetryLog log =
+      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  EXPECT_EQ(log.census().count("campaign.stall"), 0u);
+  // Per shard, the events seen so far: 1 claimed, 2 sim.start, 3 done.
+  std::map<std::uint64_t, int> stage;
+  for (const auto& line : log.lines) {
+    if (!line.has_shard) continue;
+    const int want = line.type == "shard.claimed" ? 1
+                     : line.type == "sim.start"   ? 2
+                     : line.type == "shard.done"  ? 3
+                                                  : 0;
+    ASSERT_NE(want, 0) << "unexpected " << line.type << " for shard "
+                       << line.shard;
+    EXPECT_EQ(stage[line.shard], want - 1)
+        << line.type << " out of order for shard " << line.shard;
+    stage[line.shard] = want;
+  }
+  ASSERT_EQ(stage.size(), 64u);
+  for (const auto& [shard, seen] : stage)
+    EXPECT_EQ(seen, 3) << "shard " << shard << " never finished";
 }
 
 // The acceptance checkpoint walk: kill a 64-scenario campaign, check

@@ -58,7 +58,8 @@ TEST(CampaignReport, NearestRankQuantiles) {
   for (std::size_t i = 0; i < 10; ++i)
     records.push_back(
         record(i, "ecg", 0.0, static_cast<double>(i + 1) / 10.0));
-  const AlgoAggregate& agg = aggregate(records)[0].algos[0];
+  const std::vector<GroupAggregate> groups = aggregate(records);
+  const AlgoAggregate& agg = groups[0].algos[0];
   EXPECT_DOUBLE_EQ(agg.dmr.p50, 0.5);  // Rank (10-1)*50/100 = 4 -> 0.5.
   EXPECT_DOUBLE_EQ(agg.dmr.p90, 0.9);  // Rank (10-1)*90/100 = 8 -> 0.9.
   EXPECT_DOUBLE_EQ(agg.dmr.min, 0.1);

@@ -175,10 +175,16 @@ TEST(PeriodOptionCache, FailedComputeRethrowsToWaitersAndIsNotCached) {
     cache.lookup_or_compute({0.1}, 20e-3, 2.5,
                             [] { return make_options(0); });
     ADD_FAILURE() << "the waiter must rethrow the flight's exception";
+    computing.join();
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
+    // Both threads hold the one exception object. Joining while this
+    // catch still holds it makes the computing thread's release happen
+    // before ours through a join ThreadSanitizer sees, so the free is ours
+    // and ordered. Otherwise whichever thread released last freed it
+    // through libstdc++'s uninstrumented refcount: a race TSan reports.
+    computing.join();
   }
-  computing.join();
   EXPECT_EQ(cache.stats().entries, 0u);
 
   // Nothing was cached: the next request computes afresh.
