@@ -93,12 +93,15 @@ std::string metrics_report(const obs::MetricsSnapshot& snapshot) {
         for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
           cumulative += h.bucket_counts[b];
           if (cumulative > rank) {
-            if (b < h.upper_bounds.size())
-              rendered = "<=" + util::fmt(h.upper_bounds[b], 4);
-            else if (!h.upper_bounds.empty())
-              rendered = ">" + util::fmt(h.upper_bounds.back(), 4);
-            else
+            if (b < h.upper_bounds.size()) {
+              rendered = "<=";
+              rendered += util::fmt(h.upper_bounds[b], 4);
+            } else if (!h.upper_bounds.empty()) {
+              rendered = ">";
+              rendered += util::fmt(h.upper_bounds.back(), 4);
+            } else {
               rendered = ">0";  // Bound-less snapshot: nothing to anchor on.
+            }
             break;
           }
         }

@@ -49,8 +49,11 @@ void emit_period_events(obs::SimTrace& events, const PeriodRecord& record,
   volts.fields.emplace_back("selected",
                             static_cast<double>(bank.selected_index()));
   const std::vector<double> v = bank.voltages();
-  for (std::size_t i = 0; i < v.size(); ++i)
-    volts.fields.emplace_back("v" + std::to_string(i), v[i]);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::string key = "v";
+    key += std::to_string(i);
+    volts.fields.emplace_back(std::move(key), v[i]);
+  }
   events.emit(std::move(volts));
 
   obs::SimEvent deadline;

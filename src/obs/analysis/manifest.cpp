@@ -148,8 +148,11 @@ std::string manifest_json(const ManifestInfo& info) {
   const auto vars = solsched_env();
   for (std::size_t i = 0; i < vars.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(vars[i].first) + "\": \"" +
-           json_escape(vars[i].second) + "\"";
+    out += '"';
+    out += json_escape(vars[i].first);
+    out += "\": \"";
+    out += json_escape(vars[i].second);
+    out += '"';
   }
   out += "}";
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "obs/span.hpp"
 #include "sched/sched_util.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace solsched::sched {
 namespace {
@@ -70,26 +70,27 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
   PeriodOptimizer optimizer(graph, config.pmu, config.regulators,
                             config.leakage, config.v_low, config.v_high, dt);
 
-  // One funnel for every option-set derivation: quantize the start voltage
-  // (identically with or without the cache, so cached and uncached runs
-  // stay bit-identical), then memoize on the exact resulting key.
-  const auto options_for = [&](const std::vector<double>& solar_w,
-                               double capacity_f, double v0) {
-    const double vq = PeriodOptionCache::quantize_v0(
-        v0, config.v_low, config.v_high, config_.v0_quant_steps);
-    if (!cache_) {
-      OBS_SPAN("dp.pareto_options");
-      return std::make_shared<const std::vector<PeriodOption>>(
-          optimizer.pareto_options(solar_w, capacity_f, vq));
-    }
-    return cache_->lookup_or_compute(solar_w, capacity_f, vq, [&] {
-      OBS_SPAN("dp.pareto_options");
-      return optimizer.pareto_options(solar_w, capacity_f, vq);
-    });
-  };
   const auto quantized_v0 = [&](double v0) {
     return PeriodOptionCache::quantize_v0(v0, config.v_low, config.v_high,
                                           config_.v0_quant_steps);
+  };
+  // One funnel for every option-set derivation: the keys carry quantized
+  // start voltages (identically with or without the cache, so cached and
+  // uncached runs stay bit-identical), memoized on the exact key. All of a
+  // call's missing keys are swept in one parallel region.
+  using OptionSets = std::vector<PeriodOptionCache::Value>;
+  const auto options_for = [&](const std::vector<double>& solar_w,
+                               std::span<const OptionKey> keys) {
+    const auto compute = [&](std::span<const OptionKey> missing) {
+      OBS_SPAN("dp.pareto_options");
+      return optimizer.pareto_options(solar_w, missing);
+    };
+    if (cache_) return cache_->lookup_or_compute(solar_w, keys, compute);
+    OptionSets out;
+    for (auto& set : compute(keys))
+      out.push_back(
+          std::make_shared<const std::vector<PeriodOption>>(std::move(set)));
+    return out;
   };
 
   // Per-capacitor bucket geometry over usable energy. Buckets only bound the
@@ -189,7 +190,7 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       // Day-boundary capacitor re-selection: the abandoned capacitor's
       // energy is written off (the paper: inter-day carry-over is rare
       // because storage drains overnight anyway).
-      if (config_.allow_cap_switch && p % grid.n_periods == 0) {
+      if (p % grid.n_periods == 0) {
         for (std::size_t h = 0; h < n_caps; ++h)
           for (std::size_t b = 0; b < n_buckets; ++b) {
             const Cell from = at(layers[i], h, b);
@@ -208,34 +209,32 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       }
 
       // Two-phase row expansion. Phase 1 derives every live label's option
-      // set on the thread pool — pareto_options is pure, and the option
-      // cache computes outside its lock, so concurrent derivation produces
-      // the same vectors a serial sweep would. Phase 2 relaxes serially in
-      // ascending (h, b) order, so label ties resolve exactly as before:
-      // the DP outcome is bit-identical at every thread count.
+      // set in one batch: the cache resolves the keys in label order and
+      // sweeps the missing ones in one parallel region over (key, subset
+      // chunk); the sweep is pure, so the sets equal a serial derivation.
+      // Phase 2 relaxes serially in ascending (h, b) order, so label ties
+      // resolve exactly as before: the DP outcome is bit-identical at every
+      // thread count.
       std::vector<std::size_t> live;
+      std::vector<OptionKey> keys;
       live.reserve(n_caps * n_buckets);
+      keys.reserve(n_caps * n_buckets);
       for (std::size_t h = 0; h < n_caps; ++h)
-        for (std::size_t b = 0; b < n_buckets; ++b)
-          if (at(layers[i], h, b).cost < kInf)
-            live.push_back(h * n_buckets + b);
-
-      std::vector<std::shared_ptr<const std::vector<PeriodOption>>>
-          row_options(live.size());
-      util::parallel_for(live.size(), [&](std::size_t k) {
-        const std::size_t h = live[k] / n_buckets;
-        const Cell& from = layers[i][live[k]];
-        row_options[k] = options_for(window_solar[i], config.capacities_f[h],
-                                     voltage_of(h, from.usable));
-      });
+        for (std::size_t b = 0; b < n_buckets; ++b) {
+          const Cell& from = at(layers[i], h, b);
+          if (from.cost >= kInf) continue;
+          live.push_back(h * n_buckets + b);
+          keys.push_back({config.capacities_f[h],
+                          quantized_v0(voltage_of(h, from.usable))});
+        }
+      const OptionSets row_options = options_for(window_solar[i], keys);
 
       for (std::size_t k = 0; k < live.size(); ++k) {
         const std::size_t h = live[k] / n_buckets;
         const std::size_t b = live[k] % n_buckets;
         const Cell& from = at(layers[i], h, b);
         ++dp_evaluations_;
-        const auto& options = row_options[k];
-        for (const PeriodOption& opt : *options) {
+        for (const PeriodOption& opt : *row_options[k]) {
           Cell candidate;
           candidate.cost = from.cost + static_cast<double>(opt.misses);
           candidate.usable = opt.final_usable_j;
@@ -288,22 +287,22 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       planned.planned_consumed_j = cell.consumed;
       // The quantized voltage is what the options were evaluated at; record
       // it so plan and LUT describe the evaluation that actually ran.
-      planned.planned_v0 = quantized_v0(voltage_of(ph, prev.usable));
+      const OptionKey key{config.capacities_f[ph],
+                          quantized_v0(voltage_of(ph, prev.usable))};
+      planned.planned_v0 = key.v0;
       plan_[w0 + i] = std::move(planned);
       planned_misses_ += cell.misses;
 
       double solar_energy = 0.0;
       for (double sw : window_solar[i]) solar_energy += sw * dt;
-      const auto options = options_for(window_solar[i],
-                                       config.capacities_f[ph],
-                                       voltage_of(ph, prev.usable));
+      const auto options =
+          options_for(window_solar[i], std::span(&key, 1)).front();
       for (const auto& sibling : *options) {
         LutEntry entry;
         entry.key = LutKey{
             static_cast<double>(sibling.misses) /
                 static_cast<double>(std::max<std::size_t>(1, graph.size())),
-            solar_energy, config.capacities_f[ph],
-            quantized_v0(voltage_of(ph, prev.usable))};
+            solar_energy, key.capacity_f, key.v0};
         entry.consumed_j = sibling.consumed_cap_j;
         entry.alpha = sibling.alpha;
         entry.te = sibling.te;

@@ -39,7 +39,6 @@ struct OptimalConfig {
   /// a deterministic pseudo-random factor with stddev forecast_noise * L.
   double forecast_noise = 0.0;
   std::uint64_t noise_seed = 99;
-  bool allow_cap_switch = true;  ///< Day-boundary capacitor re-selection.
 
   /// Memoize pareto_options across DP cells and the backtrack. The cache is
   /// exact: with identical remaining knobs, cached and uncached runs produce

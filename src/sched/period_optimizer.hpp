@@ -11,6 +11,7 @@
 // formulation's structure at a cost a DP over months can afford.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "storage/leakage.hpp"
@@ -46,6 +47,13 @@ struct PeriodOption {
   std::vector<bool> te;
 };
 
+/// One (capacity, start voltage) request of a batched sweep; the keys of a
+/// batch share the period's solar vector.
+struct OptionKey {
+  double capacity_f = 0.0;
+  double v0 = 0.0;
+};
+
 /// Evaluates task subsets within one period over one capacitor.
 class PeriodOptimizer {
  public:
@@ -62,15 +70,19 @@ class PeriodOptimizer {
 
   /// Evaluates every dependency-closed subset and returns, for each
   /// achievable miss count, the option with the smallest E^c. Sorted by
-  /// ascending miss count.
-  ///
-  /// The subset sweep skips per-slot schedule recording (pareto_options
-  /// never reads it) and fans the independent subset evaluations out on
-  /// util::parallel_for, reducing the per-subset summaries serially in
-  /// subset order — the selected options are identical to a serial sweep
-  /// over evaluate() at every thread count.
+  /// ascending miss count. The one-key case of the batched sweep below.
   std::vector<PeriodOption> pareto_options(const std::vector<double>& solar_w,
                                            double capacity_f, double v0) const;
+
+  /// The sweep above for every key at once, results in key order. All
+  /// (key, subset chunk) evaluations run in one util::parallel_for region,
+  /// skipping per-slot schedule recording (the sweep never reads it). Each
+  /// key is reduced in subset order by the thread that finishes its last
+  /// chunk, so its option set is identical to a serial sweep over
+  /// evaluate() at every thread count, and is allocated on that thread.
+  std::vector<std::vector<PeriodOption>> pareto_options(
+      const std::vector<double>& solar_w,
+      std::span<const OptionKey> keys) const;
 
   const task::TaskGraph& graph() const noexcept { return *graph_; }
 
@@ -82,7 +94,8 @@ class PeriodOptimizer {
 
   /// Core evaluation against caller-owned scratch (fully reset inside, so
   /// reuse never changes results). scratch.bank must match capacity_f and
-  /// scratch.suffix_j must match solar_w.
+  /// scratch.suffix_j must match solar_w. From the first slot where no
+  /// enabled task is live the rest of the period runs as physics only.
   PeriodEval evaluate_with(const std::vector<bool>& te,
                            const std::vector<double>& solar_w, double v0,
                            bool record_slots, EvalScratch& scratch) const;

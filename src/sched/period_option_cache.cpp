@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -46,64 +47,98 @@ std::size_t PeriodOptionCache::KeyHash::operator()(
   return static_cast<std::size_t>(key.solar_hash);
 }
 
-PeriodOptionCache::Value PeriodOptionCache::lookup_or_compute(
-    const std::vector<double>& solar_w, double capacity_f, double v0,
-    const std::function<std::vector<PeriodOption>()>& compute) {
-  Key key;
-  key.solar_hash = hash_solar(solar_w, capacity_f, v0);
-  key.capacity_f = capacity_f;
-  key.v0 = v0;
-  key.solar_w = solar_w;
+std::vector<PeriodOptionCache::Value> PeriodOptionCache::lookup_or_compute(
+    const std::vector<double>& solar_w, std::span<const OptionKey> keys,
+    const BatchCompute& compute) {
+  std::vector<Value> out(keys.size());
+  // This batch's misses (their full keys, requests, positions and
+  // flights), and the flights its other hits wait on: keys in flight
+  // elsewhere, or repeats of a miss earlier in this batch.
+  std::vector<Key> missing;
+  std::vector<OptionKey> missing_keys;
+  std::vector<std::size_t> missing_at;
+  std::vector<std::promise<Value>> flights;
+  std::vector<std::pair<std::size_t, std::shared_future<Value>>> waits;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (const auto it = map_.find(key); it != map_.end()) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    Key key;
+    key.solar_hash = hash_solar(solar_w, keys[i].capacity_f, keys[i].v0);
+    key.capacity_f = keys[i].capacity_f;
+    key.v0 = keys[i].v0;
+    key.solar_w = solar_w;
+    if (const auto it = map_.find(key); it != map_.end()) {
+      out[i] = it->second;
+    } else if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
+      waits.emplace_back(i, it->second);
+    } else {
+      ++stats_.misses;
+      OBS_COUNTER_ADD("sched.option_cache.misses", 1);
+      in_flight_.emplace(key, flights.emplace_back().get_future().share());
+      missing.push_back(std::move(key));
+      missing_keys.push_back(keys[i]);
+      missing_at.push_back(i);
+      continue;
+    }
     ++stats_.hits;
     OBS_COUNTER_ADD("sched.option_cache.hits", 1);
-    return it->second;
   }
-  // Single flight: a key already being computed is waited for and counts as
-  // a hit, so hits and misses match the serial run at any thread count.
-  if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    ++stats_.hits;
-    OBS_COUNTER_ADD("sched.option_cache.hits", 1);
-    const std::shared_future<Value> pending = it->second;
-    lock.unlock();
-    return pending.get();
-  }
-  ++stats_.misses;
-  OBS_COUNTER_ADD("sched.option_cache.misses", 1);
-  std::promise<Value> promise;
-  in_flight_.emplace(key, promise.get_future().share());
   lock.unlock();
 
   // Computed outside the lock: evaluations dominate and fan out on the
   // thread pool themselves. A failed compute is not cached; its waiters
   // rethrow the same exception.
-  Value value;
-  try {
-    value = std::make_shared<const std::vector<PeriodOption>>(compute());
-  } catch (...) {
+  if (!missing.empty()) {
+    std::vector<Value> values;
+    values.reserve(missing.size());
+    try {
+      for (auto& set : compute(missing_keys))
+        values.push_back(
+            std::make_shared<const std::vector<PeriodOption>>(std::move(set)));
+    } catch (...) {
+      lock.lock();
+      for (const Key& key : missing) in_flight_.erase(key);
+      lock.unlock();
+      for (auto& flight : flights)
+        flight.set_exception(std::current_exception());
+      throw;
+    }
+
     lock.lock();
-    in_flight_.erase(key);
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      in_flight_.erase(missing[j]);
+      map_.emplace(missing[j], values[j]);
+      insertion_order_.push_back(std::move(missing[j]));
+    }
+    while (map_.size() > max_entries_) {
+      map_.erase(insertion_order_.front());
+      insertion_order_.pop_front();
+      ++stats_.evictions;
+      OBS_COUNTER_ADD("sched.option_cache.evictions", 1);
+    }
+    stats_.entries = map_.size();
     lock.unlock();
-    promise.set_exception(std::current_exception());
-    throw;
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      flights[j].set_value(values[j]);
+      out[missing_at[j]] = std::move(values[j]);
+    }
   }
 
-  lock.lock();
-  in_flight_.erase(key);
-  map_.emplace(key, value);
-  insertion_order_.push_back(std::move(key));
-  while (map_.size() > max_entries_) {
-    map_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-    ++stats_.evictions;
-    OBS_COUNTER_ADD("sched.option_cache.evictions", 1);
-  }
-  stats_.entries = map_.size();
-  lock.unlock();
-  promise.set_value(value);
-  return value;
+  for (const auto& [i, pending] : waits) out[i] = pending.get();
+  return out;
+}
+
+PeriodOptionCache::Value PeriodOptionCache::lookup_or_compute(
+    const std::vector<double>& solar_w, double capacity_f, double v0,
+    const std::function<std::vector<PeriodOption>()>& compute) {
+  const OptionKey key{capacity_f, v0};
+  return lookup_or_compute(solar_w, std::span(&key, 1),
+                           [&](std::span<const OptionKey>) {
+                             std::vector<std::vector<PeriodOption>> sets;
+                             sets.push_back(compute());
+                             return sets;
+                           })
+      .front();
 }
 
 OptionCacheStats PeriodOptionCache::stats() const {

@@ -14,12 +14,18 @@
 // arguments. Full keys (including the solar vector) are stored and compared
 // so hash collisions cannot alias entries.
 //
+// A DP layer asks for all its labels' keys in one batch: the batch's
+// missing keys go to one compute call, which the DP runs as one parallel
+// region (PeriodOptimizer's batched pareto_options). A single-key lookup
+// is the one-key batch.
+//
 // Thread safety: all operations take an internal mutex, so a cache may be
 // shared across schedulers (e.g. the training oracle and the comparison
 // run's Optimal row) even when policy rows execute on the thread pool.
-// Lookups are single-flight: each key is computed once, and concurrent
-// requests for it wait for that result, so the counters do not depend on
-// the thread count.
+// Lookups are single-flight: keys resolve in request order, a key's first
+// request is its one miss, and a repeat or a key another thread is
+// computing is a hit that waits for that result, so the counters equal a
+// serial run's at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -56,11 +63,22 @@ class PeriodOptionCache {
   explicit PeriodOptionCache(std::size_t max_entries = 1 << 16);
 
   using Value = std::shared_ptr<const std::vector<PeriodOption>>;
+  /// Returns one option set per given key, in key order.
+  using BatchCompute = std::function<std::vector<std::vector<PeriodOption>>(
+      std::span<const OptionKey>)>;
 
-  /// Returns the cached option set for (solar_w, capacity_f, v0), calling
-  /// `compute` on a miss. The returned pointer stays valid after eviction
-  /// (entries are shared_ptr-owned). If `compute` throws, nothing is cached
-  /// and every request waiting on that key rethrows the exception.
+  /// Returns the cached option set of (solar_w, key) for every key, in key
+  /// order, calling `compute` once with the keys no request has asked for
+  /// yet (not at all when there are none). Returned pointers stay valid
+  /// after eviction (entries are shared_ptr-owned). If `compute` throws,
+  /// none of its keys is cached, they leave the in-flight set, and every
+  /// request waiting on one of them rethrows the exception.
+  std::vector<Value> lookup_or_compute(const std::vector<double>& solar_w,
+                                       std::span<const OptionKey> keys,
+                                       const BatchCompute& compute);
+
+  /// The one-key batch: `compute` returns the option set of (solar_w,
+  /// capacity_f, v0).
   Value lookup_or_compute(
       const std::vector<double>& solar_w, double capacity_f, double v0,
       const std::function<std::vector<PeriodOption>()>& compute);

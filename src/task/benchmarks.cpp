@@ -87,9 +87,10 @@ TaskGraph random_benchmark(std::uint64_t seed, std::string name) {
     const double exec = kSlotS * rng.uniform_int(1, 5);
     const double power_mw = rng.uniform(8.0, 40.0);
     const auto nvp = static_cast<std::size_t>(rng.uniform_int(0, n_nvps - 1));
-    tasks.push_back(make_task(static_cast<std::size_t>(i),
-                              "t" + std::to_string(i), kPeriodS, exec,
-                              power_mw, nvp));
+    std::string name = "t";
+    name += std::to_string(i);
+    tasks.push_back(make_task(static_cast<std::size_t>(i), std::move(name),
+                              kPeriodS, exec, power_mw, nvp));
   }
 
   // Edges always point from a lower id to a higher id, so the id order is a

@@ -47,9 +47,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(3.0, 12.0, 40.0),
                        ::testing::Values(30.0, 120.0, 480.0)),
     [](const ::testing::TestParamInfo<MigParam>& info) {
-      return "c" + std::to_string(static_cast<int>(std::get<0>(info.param))) +
-             "_q" + std::to_string(static_cast<int>(std::get<1>(info.param))) +
-             "_t" + std::to_string(static_cast<int>(std::get<2>(info.param)));
+      std::string name = "c";
+      name += std::to_string(static_cast<int>(std::get<0>(info.param)));
+      name += "_q";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param)));
+      name += "_t";
+      name += std::to_string(static_cast<int>(std::get<2>(info.param)));
+      return name;
     });
 
 // ---------------------------------------------------------------------

@@ -58,8 +58,12 @@ TEST(Timeline, MergeAssignsDistinctPidsAndSortsByTime) {
   // Every sink writes pid 1; the merge re-homes by file index.
   for (const TimelineEvent& ev : t.events) {
     EXPECT_EQ(ev.pid, ev.source == client ? 1u : 2u);
-    if (ev.name == "serve.client.request") EXPECT_EQ(ev.trace_id, 0xabcu);
-    if (ev.name == "unrelated.span") EXPECT_EQ(ev.trace_id, 0u);
+    if (ev.name == "serve.client.request") {
+      EXPECT_EQ(ev.trace_id, 0xabcu);
+    }
+    if (ev.name == "unrelated.span") {
+      EXPECT_EQ(ev.trace_id, 0u);
+    }
   }
 }
 

@@ -75,7 +75,9 @@ TEST(GreedyBank, NoSwitchWhenWholeBankEmptyAndDbnAgrees) {
   const auto plan = policy.begin_period(make_ctx(grid, graph, bank));
   // Whole bank empty: falls back to the DBN pick, which may or may not be
   // the current capacitor — but must be a valid index if present.
-  if (plan.select_cap) EXPECT_LT(*plan.select_cap, bank.size());
+  if (plan.select_cap) {
+    EXPECT_LT(*plan.select_cap, bank.size());
+  }
 }
 
 TEST(GreedyBank, StaysPutWhenChargedAndNotFull) {

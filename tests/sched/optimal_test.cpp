@@ -133,19 +133,5 @@ TEST(Optimal, RejectsZeroBuckets) {
   EXPECT_THROW(OptimalScheduler{config}, std::invalid_argument);
 }
 
-TEST(Optimal, CapSwitchDisabledKeepsInitialCap) {
-  const auto grid = test::tiny_grid();
-  const auto graph = test::indep3();
-  const auto node = small_node(grid);
-  const auto gen = test::scaled_generator(grid);
-  const auto trace = gen.generate_days(2, test::tiny_grid());
-  OptimalConfig config;
-  config.allow_cap_switch = false;
-  OptimalScheduler opt(config);
-  nvp::simulate(graph, trace, opt, node);
-  for (const auto& p : opt.plan())
-    EXPECT_EQ(p.cap_index, node.initial_cap);
-}
-
 }  // namespace
 }  // namespace solsched::sched

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -193,6 +197,148 @@ TEST(PeriodOptionCache, FailedComputeRethrowsToWaitersAndIsNotCached) {
   EXPECT_EQ(value->at(0).misses, 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+// Batch compute for the tests below: one option set per key whose miss
+// count is the key's v0, counting how often each v0 is computed.
+struct CountingBatch {
+  std::array<std::atomic<int>, 8> computes{};
+  std::function<void()> before;  ///< Runs inside every compute (may block).
+
+  PeriodOptionCache::BatchCompute fn() {
+    return [this](std::span<const OptionKey> keys) {
+      if (before) before();
+      std::vector<std::vector<PeriodOption>> sets;
+      for (const OptionKey& key : keys) {
+        ++computes[static_cast<std::size_t>(key.v0)];
+        sets.push_back(make_options(static_cast<std::size_t>(key.v0)));
+      }
+      return sets;
+    };
+  }
+};
+
+std::vector<OptionKey> keys_of(std::initializer_list<int> v0s) {
+  std::vector<OptionKey> keys;
+  for (int v0 : v0s) keys.push_back({20e-3, static_cast<double>(v0)});
+  return keys;
+}
+
+TEST(PeriodOptionCache, BatchResolvesInOrderRepeatsAreHits) {
+  PeriodOptionCache cache;
+  CountingBatch batch;
+  const auto keys = keys_of({1, 2, 1, 3});
+  const auto got = cache.lookup_or_compute({0.1}, keys, batch.fn());
+  ASSERT_EQ(got.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    EXPECT_EQ(got[i]->at(0).misses, static_cast<std::size_t>(keys[i].v0));
+  EXPECT_EQ(got[0].get(), got[2].get());  // The repeat shares the entry.
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  // A batch whose keys are all cached never calls compute.
+  batch.before = [] { ADD_FAILURE() << "compute called for cached keys"; };
+  cache.lookup_or_compute({0.1}, keys_of({3, 1}), batch.fn());
+  EXPECT_EQ(cache.stats().hits, 3u);
+  for (int v0 = 1; v0 <= 3; ++v0) EXPECT_EQ(batch.computes[v0].load(), 1);
+}
+
+TEST(PeriodOptionCache, OverlappingBatchesComputeEachKeyOnce) {
+  // Thread A asks for {1, 2, 1, 3}, thread B for {2, 3, 4}. A's compute
+  // holds its flight until B has joined 2 and 3 as hits, so B computes
+  // only 4 and waits on A for the rest. A serial run of the two batches
+  // counts 4 misses and 3 hits (A's repeat of 1, B's 2 and 3).
+  PeriodOptionCache cache;
+  CountingBatch batch;
+  std::atomic<bool> a_computing{false};
+  batch.before = [&] {
+    if (a_computing.exchange(true)) return;  // B's compute: no wait.
+    wait_until([&] { return cache.stats().hits >= 3; });
+  };
+  std::vector<PeriodOptionCache::Value> got_a, got_b;
+  std::thread a([&] {
+    got_a = cache.lookup_or_compute({0.1}, keys_of({1, 2, 1, 3}), batch.fn());
+  });
+  wait_until([&] { return a_computing.load(); });
+  std::thread b([&] {
+    got_b = cache.lookup_or_compute({0.1}, keys_of({2, 3, 4}), batch.fn());
+  });
+  a.join();
+  b.join();
+  for (int v0 = 1; v0 <= 4; ++v0)
+    EXPECT_EQ(batch.computes[v0].load(), 1) << "key " << v0;
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().entries, 4u);
+  ASSERT_EQ(got_a.size(), 4u);
+  ASSERT_EQ(got_b.size(), 3u);
+  EXPECT_EQ(got_a[1].get(), got_b[0].get());
+  EXPECT_EQ(got_a[3].get(), got_b[1].get());
+  EXPECT_EQ(got_b[2]->at(0).misses, 4u);
+}
+
+TEST(PeriodOptionCache, FailedBatchRethrowsToEveryWaiterAndCachesNothing) {
+  // A's batch {1, 2} fails once a single-key waiter on 1 and B's batch
+  // {2, 5} have joined its flights. Both waiters rethrow A's exception;
+  // B's own key 5 still lands. The exception_ptrs are kept until every
+  // thread is joined, so the exception object is freed on this thread,
+  // ordered after every other thread's use (see the TSan note above).
+  PeriodOptionCache cache;
+  CountingBatch batch;
+  std::atomic<bool> a_computing{false};
+  const auto failing = [&](std::span<const OptionKey>)
+      -> std::vector<std::vector<PeriodOption>> {
+    a_computing = true;
+    wait_until([&] { return cache.stats().hits >= 2; });
+    throw std::runtime_error("boom");
+  };
+  std::array<std::exception_ptr, 3> errors;
+  std::thread a([&] {
+    try {
+      cache.lookup_or_compute({0.1}, keys_of({1, 2}), failing);
+    } catch (...) {
+      errors[0] = std::current_exception();
+    }
+  });
+  wait_until([&] { return a_computing.load(); });
+  std::thread single([&] {
+    try {
+      cache.lookup_or_compute({0.1}, 20e-3, 1.0,
+                              [] { return make_options(1); });
+    } catch (...) {
+      errors[1] = std::current_exception();
+    }
+  });
+  std::thread b([&] {
+    try {
+      cache.lookup_or_compute({0.1}, keys_of({2, 5}), batch.fn());
+    } catch (...) {
+      errors[2] = std::current_exception();
+    }
+  });
+  a.join();
+  single.join();
+  b.join();
+  for (const std::exception_ptr& error : errors) {
+    ASSERT_TRUE(error) << "every request on a failed key must rethrow";
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom");
+    }
+  }
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(errors[0], errors[2]);
+  errors = {};
+  EXPECT_EQ(batch.computes[5].load(), 1);
+  EXPECT_EQ(cache.stats().entries, 1u);  // Only B's key 5.
+
+  // The failed keys left the in-flight set: asking again computes them.
+  const auto again = cache.lookup_or_compute({0.1}, keys_of({1, 2}),
+                                             batch.fn());
+  EXPECT_EQ(again[0]->at(0).misses, 1u);
+  EXPECT_EQ(again[1]->at(0).misses, 2u);
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().entries, 3u);
 }
 
 TEST(QuantizeV0, ZeroStepsIsIdentity) {

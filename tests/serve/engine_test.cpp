@@ -100,8 +100,9 @@ TEST(DecisionEngine, ServedDecisionMatchesOfflineSchedulerBitIdentically) {
   const nvp::PeriodPlan plan = scheduler->begin_period(ctx);
 
   EXPECT_EQ(out.reply.has_select_cap, plan.select_cap.has_value());
-  if (plan.select_cap)
+  if (plan.select_cap) {
     EXPECT_EQ(out.reply.select_cap, static_cast<std::uint32_t>(*plan.select_cap));
+  }
   // Bit-identical, not approximately equal: both paths ran the same DBN on
   // the same inputs.
   EXPECT_EQ(out.reply.alpha, scheduler->last_decision().alpha);

@@ -312,8 +312,9 @@ TEST(Protocol, FuzzThousandHostileFramesNeverCrash) {
       EXPECT_LE(q.cap_voltages.size(), kMaxCaps);
       EXPECT_LE(q.last_period_solar_w.size(), kMaxSolarSlots);
       // A v2-accepted payload carries a nonzero id by grammar.
-      if (header.version >= kProtocolVersionTraced)
+      if (header.version >= kProtocolVersionTraced) {
         EXPECT_TRUE(q.trace.active());
+      }
     }
   }
   // Mutated frames whose flips all landed in the payload get caught by the
