@@ -49,7 +49,6 @@ double flops_of(const std::string& kernel, const Shape& s) {
   if (kernel == "gemm_batch4") return 2.0 * mn * 4.0;
   if (kernel == "momentum_mat") return 7.0 * mn;
   if (kernel == "momentum_mat2") return 9.0 * mn;
-  if (kernel == "outer_acc") return 2.0 * mn;
   if (kernel == "sigmoid") return 0.0;  // transcendental; rate not comparable
   return 0.0;
 }
@@ -131,10 +130,6 @@ int main() {
            ann::kernels::momentum_mat2_n(w.data(), vel.data(), a.data(),
                                          x.data(), a2.data(), x2.data(), 0.5,
                                          0.1, -1e-4, s.rows, s.cols);
-         }));
-    push("outer_acc", time_best_ns(iters, [&] {
-           ann::kernels::outer_acc_n(w.data(), a.data(), x.data(), 1e-3,
-                                     s.rows, s.cols);
          }));
     // Sigmoid over a row of rows*cols elements (vector length, not a matrix).
     push("sigmoid", time_best_ns(iters, [&] {

@@ -289,26 +289,6 @@ inline void bias_momentum2_n(double* b, double* v, const double* d1,
                              n - i);
 }
 
-inline void axpy_n(double* w, const double* o, double scale,
-                   std::size_t n) noexcept {
-  const __m256d sv = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d wv = _mm256_loadu_pd(w + i);
-    const __m256d ov = _mm256_loadu_pd(o + i);
-    _mm256_storeu_pd(w + i, _mm256_add_pd(wv, _mm256_mul_pd(sv, ov)));
-  }
-  for (; i < n; ++i) w[i] += scale * o[i];
-}
-
-inline void scale_n(double* w, double factor, std::size_t n) noexcept {
-  const __m256d fv = _mm256_set1_pd(factor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(w + i, _mm256_mul_pd(_mm256_loadu_pd(w + i), fv));
-  for (; i < n; ++i) w[i] *= factor;
-}
-
 inline void add_n(double* v, const double* w, std::size_t n) noexcept {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4)

@@ -84,24 +84,6 @@ void sigmoid_deriv_mul_n(double* d, const double* s, std::size_t n) noexcept {
     scalar::sigmoid_deriv_mul_n(d, s, n);
 }
 
-void momentum_row_n(double* w, double* v, const double* b, double a,
-                    double momentum, double coeff, double decay,
-                    std::size_t n) noexcept {
-  if (kUseSimd)
-    simd::momentum_row_n(w, v, b, a, momentum, coeff, decay, n);
-  else
-    scalar::momentum_row_n(w, v, b, a, momentum, coeff, decay, n);
-}
-
-void momentum_row2_n(double* w, double* v, const double* b1, double a1,
-                     const double* b2, double a2, double momentum,
-                     double coeff, double decay, std::size_t n) noexcept {
-  if (kUseSimd)
-    simd::momentum_row2_n(w, v, b1, a1, b2, a2, momentum, coeff, decay, n);
-  else
-    scalar::momentum_row2_n(w, v, b1, a1, b2, a2, momentum, coeff, decay, n);
-}
-
 void bias_momentum_n(double* b, double* v, const double* d, double momentum,
                      double lr, std::size_t n) noexcept {
   if (kUseSimd)
@@ -147,31 +129,6 @@ void momentum_mat2_n(double* w, double* v, const double* a1_vec,
       scalar::momentum_row2_n(w + r * cols, v + r * cols, b1, a1_vec[r], b2,
                               a2_vec[r], momentum, coeff, decay, cols);
   }
-}
-
-void outer_acc_n(double* w, const double* a, const double* b, double scale,
-                 std::size_t rows, std::size_t cols) noexcept {
-  if (kUseSimd) {
-    for (std::size_t r = 0; r < rows; ++r)
-      simd::axpy_n(w + r * cols, b, a[r] * scale, cols);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r)
-      scalar::axpy_n(w + r * cols, b, a[r] * scale, cols);
-  }
-}
-
-void axpy_n(double* w, const double* o, double scale, std::size_t n) noexcept {
-  if (kUseSimd)
-    simd::axpy_n(w, o, scale, n);
-  else
-    scalar::axpy_n(w, o, scale, n);
-}
-
-void scale_n(double* w, double factor, std::size_t n) noexcept {
-  if (kUseSimd)
-    simd::scale_n(w, factor, n);
-  else
-    scalar::scale_n(w, factor, n);
 }
 
 void add_n(double* v, const double* w, std::size_t n) noexcept {

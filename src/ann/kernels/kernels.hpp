@@ -45,17 +45,6 @@ void sigmoid_n(double* v, std::size_t n) noexcept;
 /// d[i] *= s[i] · (1 - s[i])  (backprop through a sigmoid's output).
 void sigmoid_deriv_mul_n(double* d, const double* s, std::size_t n) noexcept;
 
-/// One weight row of the fused momentum step:
-///   v[i] = momentum·v[i] + coeff·(a·b[i] + decay·w[i]);  w[i] += v[i].
-void momentum_row_n(double* w, double* v, const double* b, double a,
-                    double momentum, double coeff, double decay,
-                    std::size_t n) noexcept;
-
-/// Two-term (CD-1) variant: grad = a1·b1[i] - a2·b2[i] + decay·w[i].
-void momentum_row2_n(double* w, double* v, const double* b1, double a1,
-                     const double* b2, double a2, double momentum,
-                     double coeff, double decay, std::size_t n) noexcept;
-
 /// b[i] += (v[i] = momentum·v[i] - lr·d[i]).
 void bias_momentum_n(double* b, double* v, const double* d, double momentum,
                      double lr, std::size_t n) noexcept;
@@ -66,30 +55,21 @@ void bias_momentum2_n(double* b, double* v, const double* d1,
                       const double* d2, double momentum, double lr,
                       std::size_t n) noexcept;
 
-/// Whole-matrix momentum step: momentum_row_n over every row r with
-/// a = a_vec[r]. One dispatch + call for the full matrix — the trainers
-/// issue millions of these per run and the per-row call overhead was
-/// comparable to the row work itself.
+/// Whole-matrix momentum step, row r with a = a_vec[r]:
+///   v[i] = momentum·v[i] + coeff·(a·b[i] + decay·w[i]);  w[i] += v[i].
+/// One dispatch + call for the full matrix — the trainers issue millions
+/// of these per run and the per-row call overhead was comparable to the
+/// row work itself.
 void momentum_mat_n(double* w, double* v, const double* a_vec,
                     const double* b, double momentum, double coeff,
                     double decay, std::size_t rows, std::size_t cols) noexcept;
 
-/// Whole-matrix two-term (CD-1) momentum step: momentum_row2_n over every
-/// row r with a1 = a1_vec[r], a2 = a2_vec[r].
+/// Whole-matrix two-term (CD-1) momentum step, row r with a1 = a1_vec[r]
+/// and a2 = a2_vec[r]: grad = a1·b1[i] - a2·b2[i] + decay·w[i].
 void momentum_mat2_n(double* w, double* v, const double* a1_vec,
                      const double* b1, const double* a2_vec, const double* b2,
                      double momentum, double coeff, double decay,
                      std::size_t rows, std::size_t cols) noexcept;
-
-/// Scaled outer-product accumulate: w[r][c] += (a[r]·scale) · b[c].
-void outer_acc_n(double* w, const double* a, const double* b, double scale,
-                 std::size_t rows, std::size_t cols) noexcept;
-
-/// w[i] += scale · o[i].
-void axpy_n(double* w, const double* o, double scale, std::size_t n) noexcept;
-
-/// w[i] *= factor.
-void scale_n(double* w, double factor, std::size_t n) noexcept;
 
 /// v[i] += w[i].
 void add_n(double* v, const double* w, std::size_t n) noexcept;

@@ -152,24 +152,6 @@ inline void bias_momentum2_n(double* b, double* v, const double* d1,
                              n - i);
 }
 
-inline void axpy_n(double* w, const double* o, double scale,
-                   std::size_t n) noexcept {
-  const float64x2_t sv = vdupq_n_f64(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(w + i,
-              vaddq_f64(vld1q_f64(w + i), vmulq_f64(sv, vld1q_f64(o + i))));
-  for (; i < n; ++i) w[i] += scale * o[i];
-}
-
-inline void scale_n(double* w, double factor, std::size_t n) noexcept {
-  const float64x2_t fv = vdupq_n_f64(factor);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(w + i, vmulq_f64(vld1q_f64(w + i), fv));
-  for (; i < n; ++i) w[i] *= factor;
-}
-
 inline void add_n(double* v, const double* w, std::size_t n) noexcept {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2)

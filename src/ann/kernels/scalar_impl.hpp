@@ -82,15 +82,6 @@ inline void bias_momentum2_n(double* b, double* v, const double* d1,
   }
 }
 
-inline void axpy_n(double* w, const double* o, double scale,
-                   std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) w[i] += scale * o[i];
-}
-
-inline void scale_n(double* w, double factor, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) w[i] *= factor;
-}
-
 inline void add_n(double* v, const double* w, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) v[i] += w[i];
 }

@@ -1,7 +1,5 @@
 #include "ann/matrix.hpp"
 
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "ann/kernels/exp_kernel.hpp"
@@ -43,22 +41,6 @@ void Matrix::multiply_transposed_into(const Vector& x, Vector& y) const {
     throw std::invalid_argument("Matrix::multiply_transposed: size mismatch");
   y.assign(cols_, 0.0);
   kernels::gemv_t_acc(data_.data(), rows_, cols_, x.data(), y.data());
-}
-
-void Matrix::add_scaled(const Matrix& other, double scale) {
-  if (other.rows_ != rows_ || other.cols_ != cols_)
-    throw std::invalid_argument("Matrix::add_scaled: shape mismatch");
-  kernels::axpy_n(data_.data(), other.data_.data(), scale, data_.size());
-}
-
-void Matrix::scale(double factor) {
-  kernels::scale_n(data_.data(), factor, data_.size());
-}
-
-double Matrix::frobenius() const {
-  double acc = 0.0;
-  for (double w : data_) acc += w * w;
-  return std::sqrt(acc);
 }
 
 void momentum_update(Matrix& w, Matrix& vel, const Vector& a, const Vector& b,

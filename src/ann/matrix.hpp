@@ -49,15 +49,6 @@ class Matrix {
   /// y = W^T x into a caller-owned buffer (resized as needed).
   void multiply_transposed_into(const Vector& x, Vector& y) const;
 
-  /// W += scale * other (same shape).
-  void add_scaled(const Matrix& other, double scale);
-
-  /// Scales all entries.
-  void scale(double factor);
-
-  /// Frobenius norm.
-  double frobenius() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -68,9 +68,6 @@ double Mlp::train_epoch(const std::vector<Sample>& samples,
   const auto order = rng_.permutation(samples.size());
   const std::size_t depth = weights_.size();
 
-  if (config.batch_size > 1)
-    return train_epoch_minibatch(samples, config, order);
-
   // Activation/delta buffers live across the whole epoch; the weight step is
   // one fused pass (momentum_update) instead of building an explicit
   // gradient matrix per sample.
@@ -123,111 +120,6 @@ double Mlp::train_epoch(const std::vector<Sample>& samples,
                   samples.size() * (depth > 0 ? depth - 1 : 0));
   OBS_COUNTER_ADD("ann.kernel.sigmoid", samples.size() * depth);
   OBS_COUNTER_ADD("ann.kernel.momentum", samples.size() * depth);
-  return loss_acc / static_cast<double>(samples.size());
-}
-
-double Mlp::train_epoch_minibatch(const std::vector<Sample>& samples,
-                                  const MlpTrainConfig& config,
-                                  const std::vector<std::size_t>& order) {
-  // Minibatch SGD: the shuffled epoch is cut into chunks of batch_size
-  // (ragged tail included); each chunk runs a batched forward pass, the
-  // per-sample deltas are back-propagated against the same frozen weights,
-  // and the *averaged* gradient is applied in one momentum step. All
-  // arithmetic goes through the kernel layer, so scalar and SIMD builds
-  // agree bit for bit; only the B=1 path is bit-comparable to the
-  // per-sample sequence.
-  const std::size_t depth = weights_.size();
-  double loss_acc = 0.0;
-
-  std::vector<kernels::BatchMatrix> acts(depth + 1);
-  std::vector<kernels::BatchMatrix> deltas(depth + 1);
-  std::vector<Matrix> grads;
-  Vector grad_b;
-  for (std::size_t l = 0; l < depth; ++l)
-    grads.emplace_back(weights_[l].rows(), weights_[l].cols());
-
-  for (std::size_t start = 0; start < order.size();
-       start += config.batch_size) {
-    const std::size_t b =
-        std::min(config.batch_size, order.size() - start);
-
-    acts[0] = kernels::BatchMatrix(b, n_inputs());
-    for (std::size_t s = 0; s < b; ++s) {
-      const Sample& sample = samples[order[start + s]];
-      if (sample.x.size() != n_inputs() || sample.y.size() != n_outputs())
-        throw std::invalid_argument("Mlp::train_epoch: sample size mismatch");
-      acts[0].set_row(s, sample.x);
-    }
-
-    // Batched forward, keeping every layer's activations.
-    for (std::size_t l = 0; l < depth; ++l) {
-      const Matrix& w = weights_[l];
-      acts[l + 1] = kernels::BatchMatrix(b, w.rows());
-      kernels::gemm_batch(w.data().data(), w.rows(), w.cols(), acts[l].data(),
-                          b, acts[l].ld(), acts[l + 1].data(),
-                          acts[l + 1].ld());
-      for (std::size_t s = 0; s < b; ++s) {
-        double* row = acts[l + 1].row(s);
-        kernels::add_n(row, biases_[l].data(), w.rows());
-        kernels::sigmoid_n(row, w.rows());
-      }
-    }
-
-    // Output deltas: (out - y) * s(1-s), per sample.
-    deltas[depth] = kernels::BatchMatrix(b, n_outputs());
-    for (std::size_t s = 0; s < b; ++s) {
-      const Sample& sample = samples[order[start + s]];
-      const double* out = acts[depth].row(s);
-      double* d = deltas[depth].row(s);
-      double err = 0.0;
-      for (std::size_t i = 0; i < n_outputs(); ++i) {
-        const double diff = out[i] - sample.y[i];
-        err += diff * diff;
-        d[i] = diff * sigmoid_deriv_from_output(out[i]);
-      }
-      loss_acc += err / static_cast<double>(n_outputs());
-    }
-
-    // Backward through the frozen weights, then one averaged update per
-    // layer. Gradients accumulate in sample order (s outer), so the result
-    // is independent of build flavor and thread count.
-    const double inv_b = 1.0 / static_cast<double>(b);
-    for (std::size_t l = depth; l-- > 0;) {
-      if (l > 0) {
-        deltas[l] = kernels::BatchMatrix(b, weights_[l].cols());
-        for (std::size_t s = 0; s < b; ++s) {
-          double* nd = deltas[l].row(s);
-          kernels::gemv_t_acc(weights_[l].data().data(), weights_[l].rows(),
-                              weights_[l].cols(), deltas[l + 1].row(s), nd);
-          kernels::sigmoid_deriv_mul_n(nd, acts[l].row(s),
-                                       weights_[l].cols());
-        }
-      }
-
-      Matrix& grad = grads[l];
-      grad.scale(0.0);
-      for (std::size_t s = 0; s < b; ++s)
-        kernels::outer_acc_n(grad.data().data(), deltas[l + 1].row(s),
-                             acts[l].row(s), 1.0, grad.rows(), grad.cols());
-      vel_w_[l].scale(config.momentum);
-      vel_w_[l].add_scaled(grad, -config.learning_rate * inv_b);
-      vel_w_[l].add_scaled(weights_[l], -config.learning_rate *
-                                            config.weight_decay);
-      weights_[l].add_scaled(vel_w_[l], 1.0);
-
-      grad_b.assign(biases_[l].size(), 0.0);
-      for (std::size_t s = 0; s < b; ++s)
-        kernels::add_n(grad_b.data(), deltas[l + 1].row(s), grad_b.size());
-      for (std::size_t i = 0; i < biases_[l].size(); ++i) {
-        vel_b_[l][i] = config.momentum * vel_b_[l][i] -
-                       config.learning_rate * inv_b * grad_b[i];
-        biases_[l][i] += vel_b_[l][i];
-      }
-    }
-  }
-  OBS_COUNTER_ADD("ann.kernel.gemm_batch",
-                  depth * ((order.size() + config.batch_size - 1) /
-                           config.batch_size));
   return loss_acc / static_cast<double>(samples.size());
 }
 

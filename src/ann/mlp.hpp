@@ -28,13 +28,6 @@ struct MlpTrainConfig {
   double learning_rate = 0.2;
   double momentum = 0.7;
   double weight_decay = 1e-5;
-  /// Samples per weight update. 1 (default) reproduces the per-sample SGD
-  /// sequence bit-for-bit. >1 switches to minibatch SGD: forward/backward
-  /// run as batch GEMM passes and the averaged gradient is applied once per
-  /// batch — a *different training algorithm* (deterministic and identical
-  /// across scalar/SIMD builds, but its loss is only tolerance-comparable
-  /// to batch_size=1; runs stamp the batch size into their manifests).
-  std::size_t batch_size = 1;
 };
 
 /// Fully connected feed-forward network.
@@ -80,10 +73,6 @@ class Mlp {
   static Mlp deserialize(const std::string& text);
 
  private:
-  double train_epoch_minibatch(const std::vector<Sample>& samples,
-                               const MlpTrainConfig& config,
-                               const std::vector<std::size_t>& order);
-
   std::vector<std::size_t> sizes_;
   std::vector<Matrix> weights_;  ///< weights_[l]: sizes_[l+1] x sizes_[l].
   std::vector<Vector> biases_;

@@ -15,20 +15,13 @@
 
 namespace solsched::ann {
 
-/// Training hyper-parameters for CD-1.
+/// Training hyper-parameters for CD-1 (hidden states sampled in the
+/// positive phase, one weight update per sample).
 struct RbmTrainConfig {
   std::size_t epochs = 30;
   double learning_rate = 0.1;
   double momentum = 0.5;
   double weight_decay = 1e-4;
-  bool sample_hidden = true;  ///< Stochastic hidden states in the positive phase.
-  /// Samples per CD-1 weight update. 1 (default) reproduces the per-sample
-  /// sequence bit-for-bit. >1 runs the Gibbs phases as batch GEMM passes
-  /// and applies the averaged CD statistics once per batch; hidden-state
-  /// Bernoulli draws consume the RNG in (sample, unit) order — the same
-  /// stream order as batch_size=1. Deterministic and build-independent,
-  /// but a different training algorithm than per-sample updates.
-  std::size_t batch_size = 1;
 };
 
 /// Bernoulli-Bernoulli RBM.
@@ -60,10 +53,6 @@ class Rbm {
   const Vector& visible_bias() const noexcept { return visible_bias_; }
 
  private:
-  double train_epoch_minibatch(const std::vector<Vector>& data,
-                               const RbmTrainConfig& config,
-                               const std::vector<std::size_t>& order);
-
   Matrix weights_;  ///< hidden x visible.
   Vector hidden_bias_;
   Vector visible_bias_;

@@ -194,8 +194,8 @@ std::vector<ResiliencePoint> run_resilience_sweep(
     contexts.push_back(
         make_context(trained, sched::OptimalConfig{}, injectors[i].get()));
 
-  const bool with_volatile = config.volatile_ablation && trained &&
-                             lists(config.scheduler_ids, "proposed");
+  const bool with_volatile =
+      trained && lists(config.scheduler_ids, "proposed");
 
   // Flatten (intensity x policy) into one job list so the pool sees every
   // simulation at once; a row's own parallel regions (the Optimal row's DP)

@@ -76,12 +76,11 @@ struct ResilienceConfig {
   fault::FaultPlan plan;  ///< Base plan; plan.scaled(intensity) per point.
   std::vector<double> intensities = {0.0, 0.5, 1.0, 2.0};
   /// Registry ids, as in ComparisonConfig ("proposed" needs a controller).
+  /// With "proposed" listed and a trained controller, each point also runs
+  /// the proposed policy on a volatile-processor node (progress wiped at
+  /// power failures) — the NVP-vs-volatile ablation row, id
+  /// "proposed_volatile", displayed as "Proposed (volatile)".
   std::vector<std::string> scheduler_ids = {"inter", "intra", "proposed"};
-  /// Also run the proposed policy on a volatile-processor node (progress
-  /// wiped at power failures) — the NVP-vs-volatile ablation row, id
-  /// "proposed_volatile", displayed as "Proposed (volatile)". Requires
-  /// "proposed" on the id list and a trained controller.
-  bool volatile_ablation = true;
   /// Attach a SimTrace to every row's sim, as in ComparisonConfig. Enables
   /// per-row deadline-miss attribution in core::resilience_table.
   bool record_events = false;

@@ -74,21 +74,19 @@ SizedNode size_node(const task::TaskGraph& graph,
                     const nvp::NodeConfig& base,
                     const PipelineConfig& config) {
   // ---- Step 1: capacitor sizing -----------------------------------------
+  OBS_SPAN("pipeline.sizing");
+  sizing::SizingConfig sizing_cfg = config.sizing;
+  sizing_cfg.v_low = base.v_low;
+  sizing_cfg.v_high = base.v_high;
+  sizing_cfg.pmu = base.pmu;
+  sizing_cfg.regulators = base.regulators;
+  sizing_cfg.leakage = base.leakage;
   SizedNode out;
   out.node = base;
-  if (config.run_sizing) {
-    OBS_SPAN("pipeline.sizing");
-    sizing::SizingConfig sizing_cfg = config.sizing;
-    sizing_cfg.v_low = base.v_low;
-    sizing_cfg.v_high = base.v_high;
-    sizing_cfg.pmu = base.pmu;
-    sizing_cfg.regulators = base.regulators;
-    sizing_cfg.leakage = base.leakage;
-    out.sizing = sizing::size_capacitors(graph, training_trace, config.n_caps,
-                                         sizing_cfg);
-    out.node.capacities_f = out.sizing.capacities_f;
-    out.node.initial_cap = 0;
-  }
+  out.sizing = sizing::size_capacitors(graph, training_trace, config.n_caps,
+                                       sizing_cfg);
+  out.node.capacities_f = out.sizing.capacities_f;
+  out.node.initial_cap = 0;
   return out;
 }
 

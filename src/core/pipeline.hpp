@@ -36,7 +36,6 @@ struct PipelineConfig {
   }
 
   std::size_t n_caps = 4;  ///< H: number of distributed capacitors to size.
-  bool run_sizing = true;  ///< false = keep the node config's capacities.
   sizing::SizingConfig sizing{};
   sched::OptimalConfig dp = default_dp();
   ann::DbnConfig dbn{};
@@ -67,9 +66,8 @@ struct SizedNode {
   sizing::SizingResult sizing;  ///< Daily optima and clusters.
 };
 
-/// Step 1 (Sec. 4.1): sizes `base`'s capacitor bank on the training trace;
-/// `base` is returned unchanged when config.run_sizing is false. It is
-/// cheap next to steps 2-3, so a caller can build on the sized node (e.g.
+/// Step 1 (Sec. 4.1): sizes `base`'s capacitor bank on the training trace.
+/// It is cheap next to steps 2-3, so a caller can build on the sized node (e.g.
 /// run controller-free policies) while they run.
 SizedNode size_node(const task::TaskGraph& graph,
                     const solar::SolarTrace& training_trace,
@@ -94,8 +92,7 @@ void fit_dbn(const task::TaskGraph& graph,
              TrainedController* controller);
 
 /// Runs the full offline flow: size_node, run_oracle, fit_dbn. `base`
-/// supplies physics and grid; its capacitor list is replaced by sizing
-/// unless config.run_sizing is false.
+/// supplies physics and grid; its capacitor list is replaced by sizing.
 TrainedController train_pipeline(const task::TaskGraph& graph,
                                  const solar::SolarTrace& training_trace,
                                  const nvp::NodeConfig& base,

@@ -152,18 +152,6 @@ std::string metrics_report(const obs::MetricsSnapshot& snapshot) {
   return out.str();
 }
 
-std::string comparison_table(const std::vector<ComparisonRow>& rows) {
-  util::TextTable table;
-  table.set_header({"algorithm", "DMR", "energy util", "migration eff",
-                    "brownouts"});
-  for (const auto& row : rows)
-    table.add_row({row.algo, util::fmt_pct(row.dmr),
-                   util::fmt_pct(row.energy_utilization),
-                   util::fmt_pct(row.migration_efficiency),
-                   std::to_string(row.brownouts)});
-  return table.str();
-}
-
 std::string resilience_table(const std::vector<ResiliencePoint>& points) {
   util::TextTable table;
   table.set_header({"intensity", "algorithm", "DMR", "pf slots", "backups",

@@ -18,9 +18,6 @@ std::string summarize(const nvp::SimResult& result, const std::string& title,
 /// Suitable for plotting Fig. 9-style series offline.
 std::string to_csv(const nvp::SimResult& result);
 
-/// Side-by-side text table of comparison rows (Fig. 8-style).
-std::string comparison_table(const std::vector<ComparisonRow>& rows);
-
 /// Text table of a resilience sweep: one line per (intensity, policy) with
 /// DMR and the fault ledger (power failures, backups/restores, fallbacks,
 /// volatile-baseline lost progress). Rows that carry an event trace

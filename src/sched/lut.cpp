@@ -1,6 +1,5 @@
 #include "sched/lut.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace solsched::sched {
@@ -33,20 +32,6 @@ const LutEntry* Lut::lookup(const LutKey& key) const {
     }
   }
   return best;
-}
-
-const LutEntry* Lut::lookup_for_capacity(const LutKey& key) const {
-  const LutEntry* best = nullptr;
-  double best_d = std::numeric_limits<double>::max();
-  for (const auto& e : entries_) {
-    if (std::fabs(e.key.capacity_f - key.capacity_f) > 1e-9) continue;
-    const double d = distance(e.key, key);
-    if (d < best_d) {
-      best_d = d;
-      best = &e;
-    }
-  }
-  return best ? best : lookup(key);
 }
 
 const LutEntry* Lut::lookup_best_dmr(double solar_energy_j,

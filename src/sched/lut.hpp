@@ -45,11 +45,6 @@ class Lut {
   /// Closest entry by normalized Euclidean distance; nullptr when empty.
   const LutEntry* lookup(const LutKey& key) const;
 
-  /// Closest entry restricted to a capacity (the common online query:
-  /// the capacitor is known, match on the remaining dims). Falls back to an
-  /// unrestricted lookup when no entry has that capacity.
-  const LutEntry* lookup_for_capacity(const LutKey& key) const;
-
   /// Online planning query: among entries near (solar, capacity, v0) —
   /// ignoring the DMR dimension — returns the one promising the lowest
   /// DMR, trading distance against DMR with the given weight. nullptr when

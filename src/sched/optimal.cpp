@@ -21,10 +21,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::max() / 4;
 
 /// Deterministic per-period forecast perturbation factor.
-double forecast_factor(std::uint64_t seed, std::size_t window_start,
-                       std::size_t period, double sigma) {
+double forecast_factor(std::size_t window_start, std::size_t period,
+                       double sigma) {
   if (sigma <= 0.0) return 1.0;
-  util::Rng rng(seed ^ (window_start * 0x9E3779B9ull) ^ (period * 0x85EBCA6Bull));
+  constexpr std::uint64_t kSeed = 99;
+  util::Rng rng(kSeed ^ (window_start * 0x9E3779B9ull) ^
+                (period * 0x85EBCA6Bull));
   return std::max(0.05, 1.0 + sigma * rng.normal());
 }
 
@@ -167,8 +169,8 @@ void OptimalScheduler::run_dp(const task::TaskGraph& graph,
       const std::size_t p = w0 + i;
       const double lookahead_days =
           static_cast<double>(i) / static_cast<double>(grid.n_periods);
-      const double factor = forecast_factor(
-          config_.noise_seed, w0, p, config_.forecast_noise * lookahead_days);
+      const double factor =
+          forecast_factor(w0, p, config_.forecast_noise * lookahead_days);
       window_solar[i] =
           trace.period_powers(p / grid.n_periods, p % grid.n_periods);
       for (double& s : window_solar[i]) s *= factor;

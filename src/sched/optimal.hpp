@@ -16,7 +16,6 @@
 // behind the paper's Fig. 10(a) prediction-length study.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -38,7 +37,6 @@ struct OptimalConfig {
   /// Within a window, the solar the DP sees at lookahead L days is scaled by
   /// a deterministic pseudo-random factor with stddev forecast_noise * L.
   double forecast_noise = 0.0;
-  std::uint64_t noise_seed = 99;
 
   /// Memoize pareto_options across DP cells and the backtrack. The cache is
   /// exact: with identical remaining knobs, cached and uncached runs produce

@@ -65,13 +65,6 @@ bool is_forced(const task::TaskGraph& graph, const task::PeriodState& state,
   return latest_start_s(graph, state, id) < now_s + dt_s;
 }
 
-double total_power_w(const task::TaskGraph& graph,
-                     const std::vector<std::size_t>& chosen) {
-  double acc = 0.0;
-  for (std::size_t id : chosen) acc += graph.task(id).power_w;
-  return acc;
-}
-
 bool dependency_closed(const task::TaskGraph& graph,
                        const std::vector<bool>& subset) {
   for (std::size_t id = 0; id < graph.size(); ++id) {

@@ -43,10 +43,6 @@ double latest_start_s(const task::TaskGraph& graph,
 bool is_forced(const task::TaskGraph& graph, const task::PeriodState& state,
                std::size_t id, double now_s, double dt_s);
 
-/// Sum of execution power of the chosen task set (W).
-double total_power_w(const task::TaskGraph& graph,
-                     const std::vector<std::size_t>& chosen);
-
 /// Dependency closure check: true if `subset` (bitmask vector) contains all
 /// predecessors of each of its members.
 bool dependency_closed(const task::TaskGraph& graph,

@@ -60,12 +60,6 @@ std::vector<double> resample_to_grid(const std::vector<double>& samples,
   return out;
 }
 
-SolarTrace trace_from_power_csv(const std::string& csv_text,
-                                const TimeGrid& grid, std::size_t column) {
-  return SolarTrace(grid,
-                    resample_to_grid(parse_csv_column(csv_text, column), grid));
-}
-
 SolarTrace trace_from_irradiance_csv(const std::string& csv_text,
                                      const TimeGrid& grid,
                                      const SolarPanel& panel,

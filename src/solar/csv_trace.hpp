@@ -26,10 +26,6 @@ std::vector<double> parse_csv_column(const std::string& csv_text,
 std::vector<double> resample_to_grid(const std::vector<double>& samples,
                                      const TimeGrid& grid);
 
-/// Builds a trace from harvested-power samples (W).
-SolarTrace trace_from_power_csv(const std::string& csv_text,
-                                const TimeGrid& grid, std::size_t column = 0);
-
 /// Builds a trace from irradiance samples (W/m^2) through a panel model.
 SolarTrace trace_from_irradiance_csv(const std::string& csv_text,
                                      const TimeGrid& grid,

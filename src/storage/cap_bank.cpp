@@ -1,6 +1,5 @@
 #include "storage/cap_bank.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -25,20 +24,6 @@ void CapacitorBank::select(std::size_t index) {
   selected_ = index;
 }
 
-std::size_t CapacitorBank::select_closest(double capacity_f) {
-  std::size_t best = 0;
-  double best_d = std::fabs(caps_[0].capacity_f() - capacity_f);
-  for (std::size_t i = 1; i < caps_.size(); ++i) {
-    const double d = std::fabs(caps_[i].capacity_f() - capacity_f);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  selected_ = best;
-  return best;
-}
-
 std::vector<double> CapacitorBank::voltages() const {
   std::vector<double> out;
   out.reserve(caps_.size());
@@ -56,12 +41,6 @@ std::vector<double> CapacitorBank::capacities() const {
 double CapacitorBank::total_energy_j() const {
   double acc = 0.0;
   for (const auto& c : caps_) acc += c.energy_j();
-  return acc;
-}
-
-double CapacitorBank::total_usable_energy_j() const {
-  double acc = 0.0;
-  for (const auto& c : caps_) acc += c.usable_energy_j();
   return acc;
 }
 

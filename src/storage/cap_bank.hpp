@@ -30,9 +30,6 @@ class CapacitorBank {
   /// Throws std::out_of_range on a bad index.
   void select(std::size_t index);
 
-  /// Selects the capacitor whose capacity is closest to `capacity_f`.
-  std::size_t select_closest(double capacity_f);
-
   SuperCapacitor& selected() { return caps_[selected_]; }
   const SuperCapacitor& selected() const { return caps_[selected_]; }
 
@@ -47,9 +44,6 @@ class CapacitorBank {
 
   /// Sum of stored energy across the bank (J).
   double total_energy_j() const;
-
-  /// Sum of usable (above-V_L) energy across the bank (J).
-  double total_usable_energy_j() const;
 
   /// Applies one step of leakage to *all* capacitors; returns leaked J.
   double apply_leakage_all(double dt_s);

@@ -78,12 +78,6 @@ double TaskGraph::total_energy_j() const noexcept {
   return acc;
 }
 
-double TaskGraph::total_exec_s() const noexcept {
-  double acc = 0.0;
-  for (const auto& t : tasks_) acc += t.exec_s;
-  return acc;
-}
-
 double TaskGraph::peak_power_w() const {
   std::vector<double> per_nvp(nvp_count_, 0.0);
   for (const auto& t : tasks_)

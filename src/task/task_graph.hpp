@@ -58,9 +58,6 @@ class TaskGraph {
   /// Total energy to run every task once (J).
   double total_energy_j() const noexcept;
 
-  /// Total execution time summed over tasks (s).
-  double total_exec_s() const noexcept;
-
   /// Largest power drawn if every NVP ran its most power-hungry task (W) —
   /// an upper bound on instantaneous load.
   double peak_power_w() const;

@@ -72,7 +72,7 @@ void Cli::add_flag(const std::string& name, const std::string& default_value,
 
 void Cli::add_flag(const std::string& name, const std::string& default_value,
                    const std::string& description, FlagType type) {
-  flags_[name] = Flag{default_value, default_value, description, type, false};
+  flags_[name] = Flag{default_value, default_value, description, type};
 }
 
 bool Cli::parse(int argc, const char* const* argv) {
@@ -144,7 +144,6 @@ bool Cli::parse(int argc, const char* const* argv) {
         break;
     }
     flag.value = value;
-    flag.set = true;
   }
   return true;
 }
@@ -213,11 +212,6 @@ std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t max) const {
     throw std::invalid_argument("flag --" + name + ": value " + value +
                                 " exceeds maximum " + std::to_string(max));
   return parsed;
-}
-
-bool Cli::was_set(const std::string& name) const {
-  const auto it = flags_.find(name);
-  return it != flags_.end() && it->second.set;
 }
 
 std::string Cli::usage(const std::string& program) const {

@@ -65,9 +65,6 @@ class Cli {
   std::uint64_t get_uint(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name, std::uint64_t max) const;
 
-  /// True if the user explicitly supplied the flag.
-  bool was_set(const std::string& name) const;
-
   /// Formatted flag table for --help output.
   std::string usage(const std::string& program) const;
 
@@ -77,7 +74,6 @@ class Cli {
     std::string default_value;
     std::string description;
     FlagType type = FlagType::kString;
-    bool set = false;
   };
   const Flag& flag_of(const std::string& name) const;
 

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/durable.hpp"
-
 namespace solsched::util {
 namespace {
 
@@ -51,15 +49,6 @@ std::string CsvWriter::str() const {
   emit(header_);
   for (const auto& row : rows_) emit(row);
   return out.str();
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  try {
-    write_atomic(path, str());
-  } catch (const IoError&) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace solsched::util

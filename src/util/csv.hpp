@@ -6,7 +6,7 @@
 
 namespace solsched::util {
 
-/// Accumulates rows and writes an RFC-4180-ish CSV file.
+/// Accumulates rows and serializes them as RFC-4180-ish CSV.
 class CsvWriter {
  public:
   /// Sets the header row.
@@ -20,9 +20,6 @@ class CsvWriter {
 
   /// Serializes all rows.
   std::string str() const;
-
-  /// Writes to `path` through write_atomic; false on I/O failure.
-  bool write_file(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

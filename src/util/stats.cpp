@@ -61,12 +61,4 @@ double correlation(const std::vector<double>& xs,
   return sxy / std::sqrt(sxx * syy);
 }
 
-double mean_abs_error(const std::vector<double>& a,
-                      const std::vector<double>& b) noexcept {
-  if (a.size() != b.size() || a.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += std::fabs(a[i] - b[i]);
-  return acc / static_cast<double>(a.size());
-}
-
 }  // namespace solsched::util

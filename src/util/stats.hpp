@@ -38,8 +38,4 @@ double percentile(std::vector<double> xs, double p) noexcept;
 double correlation(const std::vector<double>& xs,
                    const std::vector<double>& ys) noexcept;
 
-/// Mean absolute error between two equal-length samples.
-double mean_abs_error(const std::vector<double>& a,
-                      const std::vector<double>& b) noexcept;
-
 }  // namespace solsched::util

@@ -19,18 +19,6 @@ constexpr double mw_to_w(double mw) noexcept { return mw * 1e-3; }
 /// Watts to milliwatts.
 constexpr double w_to_mw(double w) noexcept { return w * 1e3; }
 
-/// Millijoules to joules.
-constexpr double mj_to_j(double mj) noexcept { return mj * 1e-3; }
-/// Joules to millijoules.
-constexpr double j_to_mj(double j) noexcept { return j * 1e3; }
-
-/// Minutes to seconds.
-constexpr double min_to_s(double minutes) noexcept { return minutes * 60.0; }
-/// Hours to seconds.
-constexpr double h_to_s(double hours) noexcept { return hours * 3600.0; }
-/// Seconds to hours.
-constexpr double s_to_h(double seconds) noexcept { return seconds / 3600.0; }
-
 /// Square centimeters to square meters.
 constexpr double cm2_to_m2(double cm2) noexcept { return cm2 * 1e-4; }
 

@@ -44,21 +44,6 @@ TEST(Matrix, SizeMismatchThrows) {
   EXPECT_THROW(m.multiply_transposed({1.0, 2.0, 3.0}), std::invalid_argument);
 }
 
-TEST(Matrix, AddScaledAndScale) {
-  Matrix a(1, 2, 1.0), b(1, 2, 2.0);
-  a.add_scaled(b, 3.0);
-  EXPECT_DOUBLE_EQ(a(0, 0), 7.0);
-  a.scale(0.5);
-  EXPECT_DOUBLE_EQ(a(0, 1), 3.5);
-}
-
-TEST(Matrix, Frobenius) {
-  Matrix m(1, 2);
-  m(0, 0) = 3.0;
-  m(0, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(m.frobenius(), 5.0);
-}
-
 TEST(Matrix, RandnDeterministic) {
   util::Rng r1(5), r2(5);
   const Matrix a = Matrix::randn(3, 3, r1, 0.1);

@@ -38,19 +38,6 @@ TEST(Pipeline, ProducesConsistentController) {
   EXPECT_EQ(c.model.dbn->n_outputs(), 2 + 1 + graph.size());
 }
 
-TEST(Pipeline, SkipSizingKeepsBank) {
-  const auto grid = test::small_grid();
-  const auto gen = test::scaled_generator(grid, 42);
-  const auto trace = gen.generate_days(2, grid);
-  PipelineConfig config = fast_config();
-  config.run_sizing = false;
-  auto node = test::small_node(grid);
-  const TrainedController c =
-      train_pipeline(test::indep3(), trace, node, config);
-  EXPECT_EQ(c.node.capacities_f, node.capacities_f);
-  EXPECT_TRUE(c.sizing.daily_optimal_f.empty());
-}
-
 TEST(Pipeline, MakeProposedRoundTrips) {
   const auto grid = test::small_grid();
   const auto gen = test::scaled_generator(grid, 43);

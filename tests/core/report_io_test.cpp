@@ -37,15 +37,6 @@ TEST(Report, CsvHasOneRowPerPeriod) {
   EXPECT_NE(csv.find("day,period,dmr"), std::string::npos);
 }
 
-TEST(Report, ComparisonTableListsAlgorithms) {
-  ComparisonRow row;
-  row.algo = "TestAlgo";
-  row.dmr = 0.25;
-  const std::string table = comparison_table({row});
-  EXPECT_NE(table.find("TestAlgo"), std::string::npos);
-  EXPECT_NE(table.find("25.0%"), std::string::npos);
-}
-
 // An empty snapshot with observability off yields the one-line notice — a
 // run that asked for metrics never reports silence. With obs on, the empty
 // snapshot stays an empty string so callers can append unconditionally.

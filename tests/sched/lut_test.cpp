@@ -40,23 +40,6 @@ TEST(Lut, NearestNeighborApproximation) {
   EXPECT_DOUBLE_EQ(hit->consumed_j, 1.0);
 }
 
-TEST(Lut, CapacityRestrictedLookup) {
-  Lut lut;
-  lut.insert(entry(0.0, 30.0, 1.0, 2.0, 9.0));
-  lut.insert(entry(0.0, 30.0, 50.0, 2.0, 4.0));
-  const LutEntry* hit = lut.lookup_for_capacity({0.0, 30.0, 50.0, 2.0});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->key.capacity_f, 50.0);
-}
-
-TEST(Lut, CapacityFallbackWhenAbsent) {
-  Lut lut;
-  lut.insert(entry(0.0, 30.0, 1.0, 2.0, 9.0));
-  const LutEntry* hit = lut.lookup_for_capacity({0.0, 30.0, 77.0, 2.0});
-  ASSERT_NE(hit, nullptr);  // Falls back to the unrestricted nearest.
-  EXPECT_DOUBLE_EQ(hit->key.capacity_f, 1.0);
-}
-
 TEST(Lut, NormalizationBalancesDimensions) {
   // Distances divide by per-dimension scales, so a 1 V difference should
   // not be swamped by a 1 J solar difference.

@@ -93,12 +93,6 @@ TEST(IsForced, TriggersNearSlack) {
   EXPECT_TRUE(is_forced(graph, state, 0, 31.0, 30.0));
 }
 
-TEST(TotalPower, Sums) {
-  const auto graph = test::indep3();
-  EXPECT_NEAR(total_power_w(graph, {0, 1}), 0.04, 1e-12);
-  EXPECT_DOUBLE_EQ(total_power_w(graph, {}), 0.0);
-}
-
 TEST(DependencyClosed, Checks) {
   const auto graph = test::chain2();
   EXPECT_TRUE(dependency_closed(graph, {true, true}));

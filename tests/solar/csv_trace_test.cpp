@@ -60,15 +60,6 @@ TEST(Resample, UpsamplesByHold) {
   EXPECT_DOUBLE_EQ(out[3], 20.0);
 }
 
-TEST(TraceFromPowerCsv, BuildsTrace) {
-  const TimeGrid grid{1, 2, 2, 30.0};
-  const auto trace = trace_from_power_csv("w\n0.01\n0.02\n0.03\n0.04\n", grid);
-  EXPECT_DOUBLE_EQ(trace.at(0, 0, 0), 0.01);
-  EXPECT_DOUBLE_EQ(trace.at(0, 1, 1), 0.04);
-  EXPECT_NEAR(trace.total_energy_j(), (0.01 + 0.02 + 0.03 + 0.04) * 30.0,
-              1e-12);
-}
-
 TEST(TraceFromIrradianceCsv, AppliesPanel) {
   const TimeGrid grid{1, 1, 2, 30.0};
   const SolarPanel panel(0.01, 0.1);  // 1 W at 1000 W/m^2.
@@ -88,7 +79,8 @@ TEST(TraceFromCsv, EnergyPreservedUnderResampling) {
     csv += std::to_string(p) + "\n";
     expected += p * 3.0;  // Each sample spans 3 s.
   }
-  const auto trace = trace_from_power_csv(csv, grid);
+  const SolarTrace trace(grid,
+                         resample_to_grid(parse_csv_column(csv, 0), grid));
   EXPECT_NEAR(trace.total_energy_j(), expected, 0.01 * expected);
 }
 

@@ -21,7 +21,6 @@ TEST(Cli, DefaultsWhenUnset) {
   EXPECT_EQ(cli.get_int("days"), 7);
   EXPECT_DOUBLE_EQ(cli.get_double("scale"), 1.5);
   EXPECT_FALSE(cli.get_bool("verbose"));
-  EXPECT_FALSE(cli.was_set("days"));
 }
 
 TEST(Cli, SpaceSeparatedValues) {
@@ -30,7 +29,6 @@ TEST(Cli, SpaceSeparatedValues) {
   ASSERT_TRUE(cli.parse(5, argv));
   EXPECT_EQ(cli.get_int("days"), 30);
   EXPECT_DOUBLE_EQ(cli.get_double("scale"), 0.5);
-  EXPECT_TRUE(cli.was_set("days"));
 }
 
 TEST(Cli, EqualsSyntax) {

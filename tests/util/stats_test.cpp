@@ -43,11 +43,5 @@ TEST(Stats, CorrelationDegenerate) {
   EXPECT_DOUBLE_EQ(correlation({1.0}, {2.0}), 0.0);
 }
 
-TEST(Stats, MeanAbsError) {
-  EXPECT_DOUBLE_EQ(mean_abs_error({1.0, 2.0}, {2.0, 0.0}), 1.5);
-  EXPECT_DOUBLE_EQ(mean_abs_error({}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_abs_error({1.0}, {1.0, 2.0}), 0.0);
-}
-
 }  // namespace
 }  // namespace solsched::util

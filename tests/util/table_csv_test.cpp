@@ -57,13 +57,5 @@ TEST(Csv, EscapesSpecialCharacters) {
   EXPECT_NE(s.find("\"say \"\"hi\"\"\""), std::string::npos);
 }
 
-TEST(Csv, WritesFile) {
-  CsvWriter csv({"a"});
-  csv.add_row(std::vector<double>{1.0});
-  const std::string path = ::testing::TempDir() + "/solsched_csv_test.csv";
-  ASSERT_TRUE(csv.write_file(path));
-  EXPECT_FALSE(csv.write_file("/nonexistent_dir_xyz/file.csv"));
-}
-
 }  // namespace
 }  // namespace solsched::util
