@@ -19,8 +19,8 @@
 # Optimal row's DP nested under its row, plus the
 # concurrency/obs/telemetry/serve/tsdb/sched/durable/campaign suites rerun
 # under ThreadSanitizer, the fault suite rerun under
-# UndefinedBehaviorSanitizer, and the simd parity, sched and durable suites
-# rerun under AddressSanitizer+UBSan.
+# UndefinedBehaviorSanitizer, and the simd parity, sched, durable and
+# analysis suites rerun under AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -36,10 +36,11 @@
 # to the shards beside it); the UBSan phase runs `ctest -L fault` — the
 # injection paths push NaN and out-of-range values through the decoders,
 # exactly where UB would hide; the ASan+UBSan phase runs
-# `ctest -L "simd|sched|durable"` — the vector kernels' tails and pack
-# buffers, the policies' reused, re-sized slot-path scratch buffers, and
-# the durable layer's torn-tail scan and truncate/heal buffers are exactly
-# where an out-of-bounds read would hide.
+# `ctest -L "simd|sched|durable|analysis"` — the vector kernels' tails and
+# pack buffers, the policies' reused, re-sized slot-path scratch buffers,
+# the durable layer's torn-tail scan and truncate/heal buffers, and the
+# JSON reader that parses files from disk (with the shared string escaper
+# under it) are exactly where an out-of-bounds read would hide.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -293,13 +294,16 @@ cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
 ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
 
-echo "== tier 1: ASan+UBSan rerun of simd + sched + durable suites ($ASAN_DIR) =="
+echo "== tier 1: ASan+UBSan rerun of simd + sched + durable + analysis suites ($ASAN_DIR) =="
 # sched rides along because every policy reuses slot-path scratch buffers
 # re-sized per graph (DESIGN.md §9): a stale size there reads out of bounds.
 # durable rides along for the torn-at-every-byte sweep: the AppendLog tail
-# scan and replay_lines slice buffers at every truncation offset.
+# scan and replay_lines slice buffers at every truncation offset. analysis
+# rides along because json_mini parses trace, status and journal files
+# from disk, and obs::json_escape writes what it reads back.
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
-ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" -L "simd|sched|durable"
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
+  -L "simd|sched|durable|analysis"
 
 echo "tier 1 passed"

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "obs/json_escape.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::campaign {
@@ -52,7 +53,7 @@ std::string require_string(const obs::analysis::JsonValue& obj,
 }  // namespace
 
 std::string ShardRecord::to_json() const {
-  using obs::analysis::json_escape;
+  using obs::json_escape;
   std::string out = "{\"shard\": " + std::to_string(shard);
   out += ", \"key\": \"" + json_escape(key) + "\"";
   out += ", \"workload\": \"" + json_escape(workload) + "\"";

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json_escape.hpp"
 #include "util/stats.hpp"
 
 namespace solsched::campaign {
@@ -162,7 +162,7 @@ std::string aggregate_table(const std::vector<ShardRecord>& records) {
 }
 
 std::string aggregate_json(const std::vector<ShardRecord>& records) {
-  using obs::analysis::json_escape;
+  using obs::json_escape;
   const std::vector<GroupAggregate> groups = aggregate(records);
   std::string out = "{\n  \"aggregate\": \"solsched-campaign-aggregate-v1\",\n";
   out += "  \"shards\": " + std::to_string(records.size()) + ",\n";

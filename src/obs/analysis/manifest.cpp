@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json_escape.hpp"
 #include "obs/metrics.hpp"
 #include "util/durable.hpp"
 

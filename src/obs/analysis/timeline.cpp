@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/analysis/json_mini.hpp"
+#include "obs/span.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::obs::analysis {
@@ -129,34 +130,14 @@ std::string render_timeline(const Timeline& timeline,
 }
 
 bool write_merged_trace(const Timeline& timeline, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\"traceEvents\":[");
+  std::string events;
   for (std::size_t i = 0; i < timeline.events.size(); ++i) {
     const TimelineEvent& e = timeline.events[i];
-    if (e.ph == 'X') {
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%zu,"
-                   "\"tid\":%zu,\"ts\":%llu,\"dur\":%llu",
-                   i ? "," : "", json_escape(e.name).c_str(), e.pid, e.tid,
-                   static_cast<unsigned long long>(e.ts_us),
-                   static_cast<unsigned long long>(e.dur_us));
-      if (e.trace_id != 0)
-        std::fprintf(f, ",\"args\":{\"trace\":\"0x%llx\"}",
-                     static_cast<unsigned long long>(e.trace_id));
-      std::fprintf(f, "}");
-    } else {
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%c\","
-                   "\"pid\":%zu,\"tid\":%zu,\"ts\":%llu,\"id\":\"0x%llx\"%s}",
-                   i ? "," : "", json_escape(e.name).c_str(), e.ph, e.pid,
-                   e.tid, static_cast<unsigned long long>(e.ts_us),
-                   static_cast<unsigned long long>(e.trace_id),
-                   e.ph == 'f' ? ",\"bp\":\"e\"" : "");
-    }
+    if (i) events += ',';
+    append_chrome_event(events, e.name, e.ph, e.pid, e.tid, e.ts_us,
+                        e.dur_us, e.trace_id);
   }
-  std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\"}\n");
-  return std::fclose(f) == 0;
+  return write_chrome_events(path, events);
 }
 
 }  // namespace solsched::obs::analysis

@@ -61,7 +61,8 @@ std::string render_timeline(const Timeline& timeline,
                             std::uint64_t trace_id = 0);
 
 /// Writes the merged events as one Chrome trace JSON (distinct pids kept,
-/// flow events preserved). False on I/O failure.
+/// flow events preserved) through util::write_atomic. False on I/O
+/// failure, with an existing file at `path` left as it was.
 bool write_merged_trace(const Timeline& timeline, const std::string& path);
 
 }  // namespace solsched::obs::analysis

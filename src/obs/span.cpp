@@ -5,6 +5,9 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/json_escape.hpp"
+#include "util/durable.hpp"
+
 namespace solsched::obs {
 namespace {
 
@@ -61,32 +64,6 @@ void record_trace_event(const char* name, std::uint64_t start_us,
 Counter& span_counter(const char* name, const char* suffix) {
   return MetricsRegistry::global().counter(std::string("span.") + name +
                                            suffix);
-}
-
-/// JSON string escaping for span labels: quotes, backslashes and control
-/// characters would otherwise break the emitted trace_event file.
-std::string json_escape_name(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -197,39 +174,64 @@ std::size_t dropped_trace_event_count() {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  TraceBuffer& buffer = trace_buffer();
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\"traceEvents\":[");
-  for (std::size_t i = 0; i < buffer.events.size(); ++i) {
-    const TraceEvent& e = buffer.events[i];
-    if (e.ph == 'X') {
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%zu,"
-                   "\"ts\":%llu,\"dur\":%llu",
-                   i ? "," : "", json_escape_name(e.name).c_str(), e.tid,
-                   static_cast<unsigned long long>(e.ts_us),
-                   static_cast<unsigned long long>(e.dur_us));
-      // Trace-id args only on tagged spans: untagged span bytes stay
-      // identical to the pre-flow sink output.
-      if (e.id != 0)
-        std::fprintf(f, ",\"args\":{\"trace\":\"0x%llx\"}",
-                     static_cast<unsigned long long>(e.id));
-      std::fprintf(f, "}");
-    } else {
-      // Flow endpoints; "bp":"e" binds the finish to its enclosing slice.
-      std::fprintf(f,
-                   "%s\n{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%c\","
-                   "\"pid\":1,\"tid\":%zu,\"ts\":%llu,\"id\":\"0x%llx\"%s}",
-                   i ? "," : "", json_escape_name(e.name).c_str(), e.ph,
-                   e.tid, static_cast<unsigned long long>(e.ts_us),
-                   static_cast<unsigned long long>(e.id),
-                   e.ph == 'f' ? ",\"bp\":\"e\"" : "");
+  // The document is built under the buffer lock and written after it is
+  // released, so a slow disk never stalls the spans being recorded.
+  std::string events;
+  {
+    TraceBuffer& buffer = trace_buffer();
+    std::lock_guard<std::mutex> lock(buffer.mutex);
+    for (std::size_t i = 0; i < buffer.events.size(); ++i) {
+      const TraceEvent& e = buffer.events[i];
+      if (i) events += ',';
+      append_chrome_event(events, e.name, e.ph, 1, e.tid, e.ts_us, e.dur_us,
+                          e.id);
     }
   }
-  std::fprintf(f, "\n],\"displayTimeUnit\":\"ms\"}\n");
-  return std::fclose(f) == 0;
+  return write_chrome_events(path, events);
+}
+
+void append_chrome_event(std::string& out, const std::string& name, char ph,
+                         std::size_t pid, std::size_t tid,
+                         std::uint64_t ts_us, std::uint64_t dur_us,
+                         std::uint64_t trace_id) {
+  char buf[192];
+  out += "\n{\"name\":\"";
+  out += json_escape(name);
+  if (ph == 'X') {
+    std::snprintf(buf, sizeof(buf),
+                  "\",\"ph\":\"X\",\"pid\":%zu,\"tid\":%zu,\"ts\":%llu,"
+                  "\"dur\":%llu",
+                  pid, tid, static_cast<unsigned long long>(ts_us),
+                  static_cast<unsigned long long>(dur_us));
+    out += buf;
+    // Trace-id args only on tagged spans: untagged span bytes stay
+    // identical to the pre-flow sink output.
+    if (trace_id != 0) {
+      std::snprintf(buf, sizeof(buf), ",\"args\":{\"trace\":\"0x%llx\"}",
+                    static_cast<unsigned long long>(trace_id));
+      out += buf;
+    }
+    out += '}';
+  } else {
+    // Flow endpoints; "bp":"e" binds the finish to its enclosing slice.
+    std::snprintf(buf, sizeof(buf),
+                  "\",\"cat\":\"flow\",\"ph\":\"%c\",\"pid\":%zu,"
+                  "\"tid\":%zu,\"ts\":%llu,\"id\":\"0x%llx\"%s}",
+                  ph, pid, tid, static_cast<unsigned long long>(ts_us),
+                  static_cast<unsigned long long>(trace_id),
+                  ph == 'f' ? ",\"bp\":\"e\"" : "");
+    out += buf;
+  }
+}
+
+bool write_chrome_events(const std::string& path, const std::string& events) {
+  try {
+    util::write_atomic(path, "{\"traceEvents\":[" + events +
+                                 "\n],\"displayTimeUnit\":\"ms\"}\n");
+  } catch (const util::IoError&) {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace solsched::obs

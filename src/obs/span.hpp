@@ -95,8 +95,23 @@ void record_span_event(const std::string& name, std::uint64_t ts_us,
 void record_flow_event(const std::string& name, std::uint64_t trace_id,
                        bool start, std::uint64_t ts_us);
 
-/// Writes the buffered events as Chrome trace JSON; false on I/O failure.
+/// Writes the buffered events as Chrome trace JSON through
+/// util::write_atomic: on failure returns false and an existing file at
+/// `path` keeps its old bytes.
 bool write_chrome_trace(const std::string& path);
+
+/// Appends one trace_event record ("\n{...}") to `out`: a complete span
+/// (ph 'X'; "args":{"trace":...} only when trace_id != 0) or a flow
+/// endpoint (ph 's'/'f'; dur_us unused). Shared by write_chrome_trace and
+/// the merged-timeline writer, so both dumps have one shape.
+void append_chrome_event(std::string& out, const std::string& name, char ph,
+                         std::size_t pid, std::size_t tid,
+                         std::uint64_t ts_us, std::uint64_t dur_us,
+                         std::uint64_t trace_id);
+
+/// Frames comma-separated append_chrome_event records as one Chrome trace
+/// document and writes it like write_chrome_trace.
+bool write_chrome_events(const std::string& path, const std::string& events);
 
 }  // namespace solsched::obs
 

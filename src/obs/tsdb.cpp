@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "obs/json_escape.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::obs {
@@ -18,17 +19,6 @@ std::string fmt_double(double x) {
   char buf[32];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), x);
   return ec == std::errc() ? std::string(buf, end) : std::string("0");
-}
-
-/// Metric names are dotted lowercase identifiers, but the writer escapes
-/// defensively anyway so a hostile registry name cannot tear a line.
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 /// Counter delta against the previous sample. A counter that went backwards
@@ -88,11 +78,30 @@ struct LineCursor {
     ++p;
     out->clear();
     while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end || (*p != '"' && *p != '\\')) return false;
+      if (*p != '\\') {
+        out->push_back(*p++);
+        continue;
       }
-      out->push_back(*p++);
+      // The escapes json_escape writes: \" \\ \n \r \t and \u00XX.
+      if (++p >= end) return false;
+      switch (*p++) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          unsigned code = 0;
+          const auto [next, ec] = std::from_chars(p, std::min(p + 4, end),
+                                                  code, 16);
+          if (ec != std::errc() || next != p + 4 || code >= 0x20)
+            return false;
+          out->push_back(static_cast<char>(code));
+          p = next;
+          break;
+        }
+        default: return false;
+      }
     }
     if (p >= end) return false;
     ++p;  // Closing quote.
@@ -199,8 +208,7 @@ bool TimeseriesStore::write_jsonl(const std::string& path) const {
     text += "{\"t\":" + std::to_string(point.wall_ms) + ",\"v\":{";
     for (std::size_t k = 0; k < point.values.size(); ++k) {
       if (k) text += ',';
-      append_json_string(text, point.values[k].first);
-      text += ':';
+      text += '"' + json_escape(point.values[k].first) + "\":";
       text += fmt_double(point.values[k].second);
     }
     text += "}}\n";

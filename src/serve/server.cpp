@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json_escape.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/durable.hpp"
@@ -62,15 +63,6 @@ bool wait_writable(int fd, std::uint64_t give_up_us) {
     if (ready > 0) return true;
     if (ready < 0 && errno != EINTR) return false;
   }
-}
-
-void json_string(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
 }
 
 /// Fixed-precision fraction for status.json (availability, burn rates).
@@ -750,9 +742,8 @@ std::string Server::status_json(const std::string& state) const {
   out << "  \"state\": \"" << state << "\",\n";
   out << "  \"wall_ms\": " << wall_ms_now() << ",\n";
   out << "  \"pid\": " << ::getpid() << ",\n";
-  out << "  \"socket\": ";
-  json_string(out, options_.socket_path);
-  out << ",\n";
+  out << "  \"socket\": \"" << obs::json_escape(options_.socket_path)
+      << "\",\n";
   out << "  \"controllers\": " << engine_.controller_count() << ",\n";
   out << "  \"workers\": " << options_.workers << ",\n";
   out << "  \"queue_capacity\": " << options_.queue_depth << ",\n";

@@ -6,6 +6,8 @@
 
 #include <stdexcept>
 
+#include "obs/json_escape.hpp"
+
 namespace solsched::obs::analysis {
 namespace {
 

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
+#include "../test_helpers.hpp"
 #include "obs/analysis/json_mini.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -167,6 +169,28 @@ TEST_F(SpanTest, ChromeTraceEscapesSpanNames) {
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->array.size(), 1u);
   EXPECT_EQ(events->array[0].string_or("name"), nasty);
+}
+
+// A trace write that cannot complete (here: past RLIMIT_FSIZE) returns
+// false and leaves an existing file with its old bytes, never a short one.
+TEST_F(SpanTest, FailedTraceWriteKeepsTheOldFile) {
+  set_trace_events_enabled(true);
+  for (int i = 0; i < 32; ++i) {
+    ScopedSpan span("test.span.fsize." + std::to_string(i));
+  }
+  const std::string path =
+      ::testing::TempDir() + "span_test.fsize.trace.json";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "old trace\n";
+  }
+  {
+    const test::FileSizeLimit limit(256);
+    EXPECT_FALSE(write_chrome_trace(path));
+  }
+  EXPECT_EQ(slurp(path), "old trace\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
 }
 
 // Concurrency contract of the trace sink: the N-thread trace parses as one

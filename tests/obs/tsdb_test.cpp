@@ -183,6 +183,7 @@ TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {
   TimeseriesStore store(2);
   MetricsSnapshot s;
   s.counters.emplace_back("evil\"name\\with\"quotes", 7);
+  s.counters.emplace_back("line\nbreak\ttab\x01", 9);
   store.sample(500, s);
   ASSERT_TRUE(store.write_jsonl(path));
   std::vector<TimeseriesPoint> points;
@@ -190,6 +191,7 @@ TEST(TimeseriesStore, HostileMetricNamesCannotTearALine) {
   ASSERT_TRUE(TimeseriesStore::read_jsonl(path, &points, &error)) << error;
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].value_or("evil\"name\\with\"quotes"), 7.0);
+  EXPECT_EQ(points[0].value_or("line\nbreak\ttab\x01"), 9.0);
 }
 
 }  // namespace

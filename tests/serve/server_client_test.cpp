@@ -585,6 +585,26 @@ TEST(ServeEndToEnd, ShutdownFrameUnblocksWaitAndStatusFileIsParseable) {
       status, status.wall_ms + 3600 * 1000, 5000));
 }
 
+// A socket path may hold any byte but NUL. The status file escapes it, so a
+// tab or newline in --socket cannot make status.json unparseable.
+TEST(ServeEndToEnd, StatusFileEscapesControlCharactersInTheSocketPath) {
+  const TestDirs d = fresh_dirs("serve_status_ctrl", false);
+  Server::Options options = server_options(d);
+  options.socket_path = d.root + "/so\tck\n";
+  {
+    Server server(options);
+    server.start();
+    server.stop();
+  }
+  std::ifstream in(d.status, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream body;
+  body << in.rdbuf();
+  const auto status = obs::analysis::parse_serve_status(body.str());
+  EXPECT_EQ(status.state, "stopped");
+  EXPECT_EQ(status.socket, options.socket_path);
+}
+
 TEST(ServeEndToEnd, StatusWriteFailureWarnsOnceAndLeavesNoTempFile) {
   const TestDirs d = fresh_dirs("serve_status_fail");
   Server::Options options = server_options(d);
