@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "obs/json_escape.hpp"
+
 namespace solsched::obs {
 namespace {
 
@@ -154,7 +156,7 @@ std::string MetricsSnapshot::to_json() const {
   std::string out = "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     out += i ? ",\n    \"" : "\n    \"";
-    out += counters[i].first;
+    out += json_escape(counters[i].first);
     out += "\": ";
     out += std::to_string(counters[i].second);
   }
@@ -162,7 +164,7 @@ std::string MetricsSnapshot::to_json() const {
   out += "  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     out += i ? ",\n    \"" : "\n    \"";
-    out += gauges[i].first;
+    out += json_escape(gauges[i].first);
     out += "\": ";
     out += fmt_double(gauges[i].second);
   }
@@ -171,7 +173,7 @@ std::string MetricsSnapshot::to_json() const {
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramEntry& h = histograms[i];
     out += i ? ",\n    \"" : "\n    \"";
-    out += h.name;
+    out += json_escape(h.name);
     out += "\": {\"upper_bounds\": [";
     for (std::size_t b = 0; b < h.upper_bounds.size(); ++b) {
       if (b) out += ",";
