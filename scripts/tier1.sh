@@ -20,7 +20,8 @@
 # concurrency/obs/telemetry/serve/tsdb/sched/durable/campaign suites rerun
 # under ThreadSanitizer, the fault suite rerun under
 # UndefinedBehaviorSanitizer, and the simd parity, sched, durable and
-# analysis suites rerun under AddressSanitizer+UBSan.
+# analysis suites plus the period optimizer's tests rerun under
+# AddressSanitizer+UBSan.
 #
 #   scripts/tier1.sh [build-dir] [tsan-build-dir] [ubsan-build-dir] [scalar-build-dir] [asan-build-dir]
 #
@@ -36,11 +37,13 @@
 # to the shards beside it); the UBSan phase runs `ctest -L fault` — the
 # injection paths push NaN and out-of-range values through the decoders,
 # exactly where UB would hide; the ASan+UBSan phase runs
-# `ctest -L "simd|sched|durable|analysis"` — the vector kernels' tails and
-# pack buffers, the policies' reused, re-sized slot-path scratch buffers,
-# the durable layer's torn-tail scan and truncate/heal buffers, and the
-# JSON reader that parses files from disk (with the shared string escaper
-# under it) are exactly where an out-of-bounds read would hide.
+# `ctest -L "simd|sched|durable|analysis"` and
+# `ctest -R "PeriodSweepPin|PeriodOptimizer"` — the vector kernels' tails
+# and pack buffers, the policies' reused, re-sized slot-path scratch
+# buffers, the durable layer's torn-tail scan and truncate/heal buffers,
+# the JSON reader that parses files from disk (with the shared string
+# escaper under it) and the subset sweep's per-depth state copies are
+# exactly where an out-of-bounds read would hide.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -54,6 +57,13 @@ echo "== tier 1: full suite ($BUILD_DIR) =="
 cmake -B "$BUILD_DIR" -S . -DSOLSCHED_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+echo "== tier 1: obs suite as one process ($BUILD_DIR) =="
+# ctest runs every test in its own process. The obs binary also runs whole,
+# so a test that depends on what earlier tests left in the process-wide
+# metrics registry (reset() zeroes metrics but keeps their registrations)
+# fails here.
+"$BUILD_DIR/tests/obs_tests"
 
 echo "== tier 1: trace analytics ($BUILD_DIR) =="
 # The golden-ledger suite standalone: energy conservation, DMR attribution,
@@ -263,8 +273,8 @@ echo "scalar and SIMD builds journal bit-identical wam+ecg decisions"
 echo "== tier 1: thread-count cross check ($BUILD_DIR) =="
 # The same grid with the Optimal row added, at 1 and at 4 threads. Each
 # shard's rows run as pool jobs, and each layer of the Optimal row's DP
-# sweeps its missing option sets in one region over (key, subset chunk)
-# under its row: nested parallel regions end to end. Records land in
+# sweeps its missing option sets in one region over (key, slot-0 subset
+# group) under its row: nested parallel regions end to end. Records land in
 # completion order, so both journals are sorted before the byte
 # comparison.
 XTHREAD_SPEC="$(echo "$XBUILD_SPEC" | sed 's/schedulers=inter,proposed/&,optimal/')"
@@ -300,10 +310,14 @@ echo "== tier 1: ASan+UBSan rerun of simd + sched + durable + analysis suites ($
 # durable rides along for the torn-at-every-byte sweep: the AppendLog tail
 # scan and replay_lines slice buffers at every truncation offset. analysis
 # rides along because json_mini parses trace, status and journal files
-# from disk, and obs::json_escape writes what it reads back.
+# from disk, and obs::json_escape writes what it reads back. The period
+# optimizer's tests ride along for the subset sweep's per-depth state
+# copies and its in-place member permutation.
 cmake -B "$ASAN_DIR" -S . -DSOLSCHED_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS"
 ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
   -L "simd|sched|durable|analysis"
+ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
+  -R "PeriodSweepPin|PeriodOptimizer"
 
 echo "tier 1 passed"

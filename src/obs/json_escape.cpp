@@ -28,4 +28,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string csv_cell(const std::string& s) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 }  // namespace solsched::obs

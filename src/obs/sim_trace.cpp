@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "obs/json_escape.hpp"
+
 namespace solsched::obs {
 namespace {
 
@@ -21,20 +23,6 @@ std::string fmt_double(double x) {
 [[noreturn]] void malformed_csv(const std::string& line, const char* what) {
   throw std::runtime_error("SimTrace::parse_csv: " + std::string(what) +
                            " in line: " + line);
-}
-
-/// RFC-4180 cell: quoted (inner quotes doubled) only when the cell contains
-/// a separator, quote or line break, so ordinary cells keep the bare
-/// historical spelling.
-std::string csv_cell(const std::string& s) {
-  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 /// Consumes one CSV cell of `text` starting at `i`; leaves `i` on the

@@ -11,6 +11,7 @@
 // formulation's structure at a cost a DP over months can afford.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,13 +58,16 @@ struct OptionKey {
 /// Evaluates task subsets within one period over one capacitor.
 class PeriodOptimizer {
  public:
+  /// Throws std::invalid_argument for graphs of 64 or more tasks: the sweep
+  /// keeps subsets as 64-bit masks.
   PeriodOptimizer(const task::TaskGraph& graph, storage::PmuConfig pmu,
                   storage::RegulatorModel regulators,
                   storage::LeakageModel leakage, double v_low, double v_high,
                   double dt_s);
 
   /// Simulates the period executing subset `te` (size N; empty = all tasks)
-  /// with the greedy-lazy placement described above.
+  /// with the greedy-lazy placement described above: the one-subset case
+  /// of the sweep's walk, recording the chosen tasks per slot.
   PeriodEval evaluate(const std::vector<bool>& te,
                       const std::vector<double>& solar_w, double capacity_f,
                       double v0) const;
@@ -74,12 +78,15 @@ class PeriodOptimizer {
   std::vector<PeriodOption> pareto_options(const std::vector<double>& solar_w,
                                            double capacity_f, double v0) const;
 
-  /// The sweep above for every key at once, results in key order. All
-  /// (key, subset chunk) evaluations run in one util::parallel_for region,
-  /// skipping per-slot schedule recording (the sweep never reads it). Each
-  /// key is reduced in subset order by the thread that finishes its last
-  /// chunk, so its option set is identical to a serial sweep over
-  /// evaluate() at every thread count, and is allocated on that thread.
+  /// The sweep above for every key at once, results in key order. Subsets
+  /// that agree on every task live so far share one simulated prefix (see
+  /// DESIGN.md, "Shared-prefix sweep"): one util::parallel_for region runs
+  /// a job per (key, slot-0 group), the subsets that agree on the graph's
+  /// root tasks, and skips per-slot schedule recording (the sweep never
+  /// reads it). Each key is reduced in subset order by the thread that
+  /// finishes its last group, so its option set is identical to a serial
+  /// sweep over evaluate() at every thread count, and is allocated on that
+  /// thread.
   std::vector<std::vector<PeriodOption>> pareto_options(
       const std::vector<double>& solar_w,
       std::span<const OptionKey> keys) const;
@@ -87,18 +94,24 @@ class PeriodOptimizer {
   const task::TaskGraph& graph() const noexcept { return *graph_; }
 
  private:
-  /// Reusable per-evaluation state (capacitor bank, period state, decision
-  /// buffers). Constructing these per subset dominates the sweep's profile,
-  /// so the sweep builds one scratch per chunk and resets it per eval.
-  struct EvalScratch;
+  /// One job's reusable state: the capacitor bank, a simulated state per
+  /// walk depth, and the decision buffers.
+  struct WalkScratch;
+  /// What one walk reads and where it writes its summaries.
+  struct Sweep;
 
-  /// Core evaluation against caller-owned scratch (fully reset inside, so
-  /// reuse never changes results). scratch.bank must match capacity_f and
-  /// scratch.suffix_j must match solar_w. From the first slot where no
-  /// enabled task is live the rest of the period runs as physics only.
-  PeriodEval evaluate_with(const std::vector<bool>& te,
-                           const std::vector<double>& solar_w, double v0,
-                           bool record_slots, EvalScratch& scratch) const;
+  /// Simulates `members` (indices into sweep.subsets, permuted in place)
+  /// on scratch depth `depth` from slot `m` to the end of the period. The
+  /// members share one state while they agree on the enabled bit of every
+  /// live task; the walk only reads those bits, so each member runs exactly
+  /// its own evaluation. At the first slot where they disagree the group
+  /// splits and each branch but the last continues on a copy one depth
+  /// down. `slot_started` means slot m's deadlines are marked and its live
+  /// list is in the frame. From the first slot where no member task is
+  /// live, the rest of the period runs as physics only, once per leaf.
+  void walk(const Sweep& sweep, WalkScratch& scratch, std::size_t depth,
+            std::size_t m, std::span<std::uint32_t> members,
+            bool slot_started) const;
 
   const task::TaskGraph* graph_;
   storage::PmuConfig pmu_;
@@ -108,6 +121,12 @@ class PeriodOptimizer {
   double v_high_;
   double dt_s_;
   std::vector<std::vector<bool>> closed_;  ///< Cached closed subsets.
+  std::vector<std::uint64_t> closed_masks_;  ///< closed_ as bit masks.
+  /// closed_ indices grouped by their root-task bits (the slot-0 groups),
+  /// largest group first: group g is
+  /// group_members_[group_begin_[g], group_begin_[g+1]).
+  std::vector<std::uint32_t> group_members_;
+  std::vector<std::size_t> group_begin_;
 };
 
 }  // namespace solsched::sched

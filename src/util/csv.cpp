@@ -3,21 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json_escape.hpp"
+
 namespace solsched::util {
-namespace {
-
-std::string escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 CsvWriter::CsvWriter(std::vector<std::string> header)
     : header_(std::move(header)) {}
@@ -42,7 +30,7 @@ std::string CsvWriter::str() const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) out << ',';
-      out << escape(row[c]);
+      out << obs::csv_cell(row[c]);
     }
     out << '\n';
   };

@@ -220,6 +220,7 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
     std::uint64_t dp_evaluations = 0;
     std::uint64_t pareto_calls = 0;
     std::uint64_t pareto_subset_evals = 0;
+    std::uint64_t pareto_slot_steps = 0;
     std::size_t n_samples = 0;
     std::size_t total_periods = 0;
   };
@@ -235,6 +236,7 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
     run.dp_evaluations = counters.counter_or("sched.dp.evaluations");
     run.pareto_calls = counters.counter_or("sched.pareto.calls");
     run.pareto_subset_evals = counters.counter_or("sched.pareto.subset_evals");
+    run.pareto_slot_steps = counters.counter_or("sched.pareto.slot_steps");
     obs::set_enabled(false);
     run.cache = trained.option_cache->stats();
     run.n_samples = trained.n_samples;
@@ -276,6 +278,8 @@ TEST(Determinism, HeldOutComparisonIdenticalAcrossThreadCounts) {
         << "sched.pareto layer: pareto_options calls";
     EXPECT_EQ(run->pareto_subset_evals, 616u)
         << "sched.pareto layer: subset evaluations";
+    EXPECT_EQ(run->pareto_slot_steps, 2196u)
+        << "sched.pareto layer: scheduling slots simulated";
     EXPECT_EQ(run->cache.hits, 220u) << "sched.option_cache layer: hits";
     EXPECT_EQ(run->cache.misses, 163u) << "sched.option_cache layer: misses";
     EXPECT_EQ(run->cache.entries, 163u) << "sched.option_cache layer: entries";

@@ -1,23 +1,30 @@
 // Pins PeriodOptimizer::pareto_options bit for bit on a fixed family of
-// periods: WAM, indep3 and the paper's second random graph; a daytime and a
-// night-time solar vector; every capacitor the sizing step picks for the
-// graph; and an empty capacitor, a low, a mid and a high start voltage.
+// periods: WAM, ECG, SHM, indep3 and the paper's three random graphs; a
+// daytime and a night-time solar vector; every capacitor the sizing step
+// picks for the graph; and an empty capacitor, a low, a mid and a high
+// start voltage.
 // Each case's full-precision option set (miss count, E^c, final usable
-// energy and voltage, alpha, te mask) folds into one FNV-1a digest,
-// recorded from the sweep that ran the scheduling code in every slot with
-// one parallel region per key. A change to the sweep's placement, its
-// idle-slot cut or its subset-order reduction fails here by case name and
-// prints the options it got.
+// energy and voltage, alpha, te mask) folds into one FNV-1a digest. The
+// WAM, indep3 and rand2 digests were recorded from the sweep that ran the
+// scheduling code in every slot with one parallel region per key; the
+// others from the per-subset sweep with its idle-slot cut, before subsets
+// shared simulated slot prefixes. A change to the sweep's placement, its
+// idle-slot cut, its prefix sharing or its subset-order reduction fails
+// here by case name and prints the options it got.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "nvp/node_config.hpp"
+#include "obs/metrics.hpp"
 #include "sched/period_optimizer.hpp"
+#include "sched/sched_util.hpp"
 #include "sizing/cap_sizing.hpp"
 #include "solar/trace_generator.hpp"
 #include "task/benchmarks.hpp"
@@ -80,7 +87,9 @@ std::string describe(const std::vector<PeriodOption>& options) {
 class PinFamily {
  public:
   PinFamily()
-      : graphs_{task::wam_benchmark(), test::indep3(), task::random_case(2)} {
+      : graphs_{task::wam_benchmark(), test::indep3(), task::random_case(2),
+                task::ecg_benchmark(), task::shm_benchmark(),
+                task::random_case(1), task::random_case(3)} {
     const solar::TimeGrid grid = solar::default_grid();
     const solar::TraceGenerator gen;
     const solar::SolarTrace day =
@@ -178,6 +187,70 @@ const Pinned kPinned[] = {
   {"rand2/night/c1/low", 4, 0xe83eac580775e99cull},
   {"rand2/night/c1/mid", 8, 0xf63d20553d762ac4ull},
   {"rand2/night/c1/high", 8, 0x53749f32a275a559ull},
+  {"ECG/day/c0/empty", 7, 0xdc06df9e702177b3ull},
+  {"ECG/day/c0/low", 7, 0x8fa6001e60f36374ull},
+  {"ECG/day/c0/mid", 7, 0xa4df01503c4bad33ull},
+  {"ECG/day/c0/high", 7, 0xb1032f09e26fb7c2ull},
+  {"ECG/day/c1/empty", 7, 0x23a150f1a8eb5163ull},
+  {"ECG/day/c1/low", 7, 0x373c769e696c57e7ull},
+  {"ECG/day/c1/mid", 7, 0x893f7e7dc49ac367ull},
+  {"ECG/day/c1/high", 7, 0x355a4df704ac7770ull},
+  {"ECG/night/c0/empty", 1, 0x0ff568fa4a6356eeull},
+  {"ECG/night/c0/low", 5, 0x1ab34f80a9401226ull},
+  {"ECG/night/c0/mid", 7, 0xb868fb19a24f92a0ull},
+  {"ECG/night/c0/high", 7, 0x82eee90e5a793e33ull},
+  {"ECG/night/c1/empty", 1, 0x4caccf3e93f2a389ull},
+  {"ECG/night/c1/low", 5, 0x8ca996e2ed19d06cull},
+  {"ECG/night/c1/mid", 7, 0x81abc970d7bfcd39ull},
+  {"ECG/night/c1/high", 7, 0x4558135a1880ca61ull},
+  {"SHM/day/c0/empty", 5, 0x84a0297bc4e43097ull},
+  {"SHM/day/c0/low", 6, 0xe18569a7e948acd1ull},
+  {"SHM/day/c0/mid", 6, 0x7c30e41b47d3215aull},
+  {"SHM/day/c0/high", 6, 0x4237712a56922c2aull},
+  {"SHM/day/c1/empty", 5, 0x7f25219cd51aa33dull},
+  {"SHM/day/c1/low", 6, 0xdb5da245ff95d084ull},
+  {"SHM/day/c1/mid", 6, 0x116354c45864bb05ull},
+  {"SHM/day/c1/high", 6, 0x24a0d229728c88dfull},
+  {"SHM/night/c0/empty", 1, 0x1e5deae6280ded69ull},
+  {"SHM/night/c0/low", 4, 0xfeb46e2877d222baull},
+  {"SHM/night/c0/mid", 6, 0xc49cf1645c292ec6ull},
+  {"SHM/night/c0/high", 6, 0x65a64f4b494920e5ull},
+  {"SHM/night/c1/empty", 1, 0x32aa56357762479full},
+  {"SHM/night/c1/low", 4, 0xc4f0adaf1c30e14full},
+  {"SHM/night/c1/mid", 6, 0x8c8ec516f1ee9e4cull},
+  {"SHM/night/c1/high", 6, 0xb58b363aaa2e305dull},
+  {"rand1/day/c0/empty", 4, 0x2ab968a90e43cb12ull},
+  {"rand1/day/c0/low", 5, 0x76da8a1b38f1197aull},
+  {"rand1/day/c0/mid", 5, 0xbd221061ffc11ed7ull},
+  {"rand1/day/c0/high", 5, 0x6eefb2a4ceb7a55aull},
+  {"rand1/day/c1/empty", 4, 0x9696c7261379ad90ull},
+  {"rand1/day/c1/low", 5, 0x385bc1c14b7e43ebull},
+  {"rand1/day/c1/mid", 5, 0x202a1c6d7e9f0550ull},
+  {"rand1/day/c1/high", 5, 0xa213a85197d2df8eull},
+  {"rand1/night/c0/empty", 1, 0x0c35437bbaa9f5c0ull},
+  {"rand1/night/c0/low", 4, 0xf2443f19346666f2ull},
+  {"rand1/night/c0/mid", 5, 0x39179afc1a2c7f8dull},
+  {"rand1/night/c0/high", 5, 0x3416691da54905d0ull},
+  {"rand1/night/c1/empty", 1, 0x3a5fa44a5782b381ull},
+  {"rand1/night/c1/low", 4, 0x4114a5d71d191174ull},
+  {"rand1/night/c1/mid", 5, 0x03d69595e1f1313bull},
+  {"rand1/night/c1/high", 5, 0x3e6cc27c5fdc027aull},
+  {"rand3/day/c0/empty", 6, 0x4ef5cd197226fd8bull},
+  {"rand3/day/c0/low", 7, 0xb12d2340db5df36bull},
+  {"rand3/day/c0/mid", 7, 0x89f5f52811db4295ull},
+  {"rand3/day/c0/high", 7, 0x3ce35d133cf237d8ull},
+  {"rand3/day/c1/empty", 6, 0x59621587da973ed7ull},
+  {"rand3/day/c1/low", 7, 0xf238a2b7fb853ca7ull},
+  {"rand3/day/c1/mid", 7, 0x3e98b098b385d887ull},
+  {"rand3/day/c1/high", 7, 0x48d4877babfcaa1full},
+  {"rand3/night/c0/empty", 1, 0x18715e33fd4468f2ull},
+  {"rand3/night/c0/low", 4, 0xb73177ad268ca6fbull},
+  {"rand3/night/c0/mid", 8, 0x341bbd8a015f3701ull},
+  {"rand3/night/c0/high", 8, 0xe5faf14c0f9d27a9ull},
+  {"rand3/night/c1/empty", 1, 0xc7939b81e33cce48ull},
+  {"rand3/night/c1/low", 4, 0xd913128054367fa3ull},
+  {"rand3/night/c1/mid", 8, 0x3175fe7db31aa38aull},
+  {"rand3/night/c1/high", 8, 0x36eaca729a82caaaull},
 };
 
 TEST(PeriodSweepPin, ParetoOptionsBitForBit) {
@@ -233,6 +306,120 @@ TEST(PeriodSweepPin, BatchedSweepEqualsPerKeyAtOneAndFourThreads) {
             c.name + " batched at " + std::to_string(threads) + " threads");
       }
       lo = hi;
+    }
+  }
+  util::ThreadPool::set_global_threads(
+      util::ThreadPool::thread_count_from_env());
+}
+
+TEST(PeriodSweepPin, SlotStepsPerGraph) {
+  // sched.pareto.slot_steps (scheduling slots simulated) of one batched
+  // sweep per (graph, solar) over the family's keys, summed per graph: the
+  // work of the shared-prefix walk. The per-subset sweep before it read
+  // WAM 5156, ECG 1478, SHM 2100, rand2 16004 and rand3 21800. indep3 and
+  // rand1 have only root tasks, so no subsets share a prefix there.
+  const std::pair<const char*, std::uint64_t> kSteps[] = {
+      {"WAM", 1612},  {"indep3", 478},  {"rand2", 12822}, {"ECG", 680},
+      {"SHM", 1110},  {"rand1", 1752},  {"rand3", 14880}};
+  const PinFamily family;
+  const auto& cases = family.cases();
+  std::vector<std::pair<std::string, std::uint64_t>> steps;
+  obs::set_enabled(true);
+  for (std::size_t lo = 0; lo < cases.size();) {
+    std::size_t hi = lo;
+    std::vector<OptionKey> keys;
+    while (hi < cases.size() && cases[hi].graph == cases[lo].graph &&
+           cases[hi].solar_w == cases[lo].solar_w) {
+      keys.push_back({cases[hi].capacity_f, cases[hi].v0});
+      ++hi;
+    }
+    obs::MetricsRegistry::global().reset();
+    (void)family.optimizer(*cases[lo].graph)
+        .pareto_options(*cases[lo].solar_w, keys);
+    if (steps.empty() || steps.back().first != cases[lo].graph->name())
+      steps.emplace_back(cases[lo].graph->name(), 0);
+    steps.back().second +=
+        obs::MetricsRegistry::global().snapshot().counter_or(
+            "sched.pareto.slot_steps");
+    lo = hi;
+  }
+  obs::set_enabled(false);
+  ASSERT_EQ(steps.size(), std::size(kSteps));
+  for (std::size_t g = 0; g < steps.size(); ++g) {
+    EXPECT_EQ(steps[g].first, kSteps[g].first);
+    EXPECT_EQ(steps[g].second, kSteps[g].second)
+        << steps[g].first << ": sched.pareto.slot_steps";
+  }
+}
+
+/// The sweep's contract, written without it: evaluate() every closed
+/// subset, then keep per miss count the smallest E^c (within 1e-12), on a
+/// tie the higher final usable energy, then the earliest subset.
+std::vector<PeriodOption> per_subset_reference(
+    const PeriodOptimizer& optimizer, const std::vector<double>& solar_w,
+    const OptionKey& key) {
+  std::vector<PeriodOption> best;
+  for (const std::vector<bool>& te : closed_subsets(optimizer.graph())) {
+    const PeriodEval eval =
+        optimizer.evaluate(te, solar_w, key.capacity_f, key.v0);
+    auto it = std::find_if(best.begin(), best.end(), [&](const auto& o) {
+      return o.misses >= eval.misses;
+    });
+    const PeriodOption option{eval.misses,         eval.consumed_cap_j,
+                              eval.final_usable_j, eval.final_voltage_v,
+                              eval.alpha,          te};
+    if (it == best.end() || it->misses != eval.misses) {
+      best.insert(it, option);
+    } else if (eval.consumed_cap_j < it->consumed_cap_j - 1e-12 ||
+               (std::fabs(eval.consumed_cap_j - it->consumed_cap_j) <= 1e-12 &&
+                eval.final_usable_j > it->final_usable_j)) {
+      *it = option;
+    }
+  }
+  return best;
+}
+
+TEST(PeriodSweepPin, SeededGraphsEqualPerSubsetEvaluate) {
+  // Seeded random graphs (4-8 tasks, 0-2 edges, 2-6 NVPs) x day/night solar
+  // x two capacitors x four start voltages: one batch per (graph, solar),
+  // at 1 and at 4 threads, against the per-subset reference above.
+  const solar::TimeGrid grid = solar::default_grid();
+  const solar::SolarTrace day = solar::TraceGenerator().generate_day(
+      solar::DayKind::kPartlyCloudy, grid);
+  const std::vector<double> solar[] = {day.period_powers(0, 64),
+                                       day.period_powers(0, 8)};
+  const char* solar_names[] = {"day", "night"};
+  const nvp::NodeConfig node;
+  const double voltages[] = {node.v_low, node.v_low + 0.25,
+                             0.5 * (node.v_low + node.v_high),
+                             node.v_high - 0.1};
+  std::vector<OptionKey> keys;
+  for (double capacity_f : {1.0, 10.0})
+    for (double v0 : voltages) keys.push_back({capacity_f, v0});
+
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const task::TaskGraph graph = task::random_benchmark(seed);
+    const PeriodOptimizer optimizer(graph, node.pmu, node.regulators,
+                                    node.leakage, node.v_low, node.v_high,
+                                    grid.dt_s);
+    for (std::size_t s = 0; s < std::size(solar); ++s) {
+      std::vector<std::vector<PeriodOption>> want;
+      for (const OptionKey& key : keys)
+        want.push_back(per_subset_reference(optimizer, solar[s], key));
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::ThreadPool::set_global_threads(threads);
+        const auto got = optimizer.pareto_options(solar[s], keys);
+        ASSERT_EQ(got.size(), keys.size());
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          char where[160];
+          std::snprintf(where, sizeof where,
+                        "seed %llu (%zu tasks) %s C=%g F v0=%g at %zu threads",
+                        static_cast<unsigned long long>(seed), graph.size(),
+                        solar_names[s], keys[k].capacity_f, keys[k].v0,
+                        threads);
+          expect_same_options(got[k], want[k], where);
+        }
+      }
     }
   }
   util::ThreadPool::set_global_threads(

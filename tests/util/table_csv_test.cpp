@@ -52,9 +52,11 @@ TEST(Csv, EscapesSpecialCharacters) {
   CsvWriter csv({"v"});
   csv.add_row(std::vector<std::string>{"a,b"});
   csv.add_row(std::vector<std::string>{"say \"hi\""});
+  csv.add_row(std::vector<std::string>{"cr\rhere"});
   const std::string s = csv.str();
   EXPECT_NE(s.find("\"a,b\""), std::string::npos);
   EXPECT_NE(s.find("\"say \"\"hi\"\"\""), std::string::npos);
+  EXPECT_NE(s.find("\"cr\rhere\""), std::string::npos);
 }
 
 }  // namespace
