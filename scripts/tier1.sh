@@ -107,17 +107,17 @@ rc=0
 "$BUILD_DIR/tools/solsched-campaign" run --spec "$CAMP_SPEC" \
   --dir "$CAMP_TMP/resumed" --cache-dir "$CAMP_TMP/cache"
 cmp "$CAMP_TMP/full/aggregate.json" "$CAMP_TMP/resumed/aggregate.json"
-"$BUILD_DIR/tools/solsched-inspect" campaign \
-  "$CAMP_TMP/resumed/journal.jsonl" > /dev/null
+"$BUILD_DIR/tools/solsched-campaign" report \
+  --journal "$CAMP_TMP/resumed/journal.jsonl" > /dev/null
 echo "campaign kill/resume aggregates bit-identical"
 
 echo "== tier 1: live telemetry ($BUILD_DIR) =="
 # The telemetry suite, then the CLI-level drill from DESIGN.md §15: a
 # campaign stopped mid-flight under SOLSCHED_OBS leaves a truthful partial
-# status.json (state "stopped", exit 3 from watch); a crash-torn
-# telemetry.jsonl tail heals on resume; the finished run watches clean
-# (exit 0) and renders through solsched-inspect; and the aggregate stays
-# byte-identical to the telemetry-free run above.
+# status.json (state "stopped", exit 3 from `solsched-inspect watch`); a
+# crash-torn telemetry.jsonl tail heals on resume; the finished run watches
+# clean (exit 0) and renders through `solsched-inspect telemetry`; and the
+# aggregate stays byte-identical to the telemetry-free run above.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L telemetry
 TELEM_TMP="$CAMP_TMP/telem"
 rm -rf "$TELEM_TMP"
@@ -128,12 +128,12 @@ SOLSCHED_OBS=1 "$BUILD_DIR/tools/solsched-campaign" run --spec "$CAMP_SPEC" \
 grep -q '"state": "stopped"' "$TELEM_TMP/status.json" || {
   echo "status.json does not record the stopped state"; exit 1; }
 rc=0
-"$BUILD_DIR/tools/solsched-campaign" watch "$TELEM_TMP" --plain --once || rc=$?
+"$BUILD_DIR/tools/solsched-inspect" watch "$TELEM_TMP" --plain --once || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected exit 3 from watch on stopped run, got $rc"; exit 1; }
 printf '{"seq": 9999, "type": "shard.don' >> "$TELEM_TMP/telemetry.jsonl"
 SOLSCHED_OBS=1 "$BUILD_DIR/tools/solsched-campaign" run --spec "$CAMP_SPEC" \
   --dir "$TELEM_TMP" --cache-dir "$CAMP_TMP/cache"
-"$BUILD_DIR/tools/solsched-campaign" watch "$TELEM_TMP" --plain --once
+"$BUILD_DIR/tools/solsched-inspect" watch "$TELEM_TMP" --plain --once
 "$BUILD_DIR/tools/solsched-inspect" telemetry "$TELEM_TMP" > /dev/null
 cmp "$CAMP_TMP/full/aggregate.json" "$TELEM_TMP/aggregate.json"
 echo "telemetry stop/heal/resume drill passed, aggregate unchanged"
@@ -144,7 +144,9 @@ echo "== tier 1: serve daemon drill ($BUILD_DIR) =="
 # loadgen burst, is SIGKILLed while a second loadgen is mid-flight, a
 # fresh daemon rebinds the same socket, the stranded clients reconnect
 # through backoff (exit 0 = every query eventually answered), and the
-# post-restart decision is byte-identical to the pre-kill one. train_days=1
+# post-restart decision is byte-identical to the pre-kill one; after the
+# clean stop, `solsched-inspect watch --once` must read the final "stopped"
+# snapshot (exit 0). train_days=1
 # k-means-clusters each controller to a single capacitor, hence the single
 # --voltages entry and --caps 1.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" -L serve
@@ -183,7 +185,7 @@ grep -q "refused 0 exhausted 0" "$SERVE_TMP/loadgen-kill.txt"
 cmp "$SERVE_TMP/pre.txt" "$SERVE_TMP/post.txt"
 "$BUILD_DIR/tools/solsched-serve" stop --socket "$SERVE_SOCK"
 wait "$SERVE_PID"
-"$BUILD_DIR/tools/solsched-inspect" serve "$SERVE_STATUS" > /dev/null
+"$BUILD_DIR/tools/solsched-inspect" watch "$SERVE_STATUS" --once > /dev/null
 echo "serve kill/restart decisions bit-identical"
 
 echo "== tier 1: serve observability drill ($BUILD_DIR) =="

@@ -6,19 +6,22 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/analysis/attribution.hpp"
 #include "obs/analysis/json_mini.hpp"
 #include "obs/analysis/ledger.hpp"
 #include "obs/analysis/profile.hpp"
-#include "obs/analysis/serve_view.hpp"
+#include "obs/analysis/status_view.hpp"
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/analysis/timeline.hpp"
 #include "obs/sim_trace.hpp"
+#include "obs/span.hpp"
 #include "util/durable.hpp"
 #include "util/table.hpp"
 
@@ -41,15 +44,15 @@ constexpr const char* kUsage =
     "                                   collapsed stacks for speedscope\n"
     "  telemetry <campaign-dir>         one-shot campaign status render +\n"
     "                                   telemetry event census\n"
-    "  serve <status.json> [--max-age-ms N] [--now-ms N]\n"
-    "                                   render a solsched-serve status file;\n"
-    "                                   exit 1 when a \"running\" snapshot is\n"
-    "                                   older than the age bound (daemon\n"
-    "                                   presumed killed); --now-ms overrides\n"
-    "                                   the wall clock for reproducible runs\n"
-    "  slo <status.json>                render the daemon's SLO block; exit\n"
-    "                                   1 while a burn-rate or p99 alert is\n"
-    "                                   firing\n"
+    "  watch <dir|status.json> [--plain] [--once] [--interval-ms MS]\n"
+    "                                   live dashboard over a campaign or\n"
+    "                                   solsched-serve status file (a dir\n"
+    "                                   means <dir>/status.json) until its\n"
+    "                                   writer stops; --plain: no ANSI\n"
+    "                                   escapes, --once: one render\n"
+    "  slo <status.json>                render a solsched-serve status file\n"
+    "                                   with its SLO verdict; exit 1 while a\n"
+    "                                   burn-rate or p99 alert is firing\n"
     "  timeline <trace.json> [...] [--trace-id 0xID] [--merged-out <path>]\n"
     "                                   merge client+server Chrome traces\n"
     "                                   into per-request stage breakdowns;\n"
@@ -60,7 +63,10 @@ constexpr const char* kUsage =
     "\n"
     "traces are JSONL (--trace-out/--events-out output); a path ending in\n"
     ".csv is read as long-format CSV. exit codes: 0 ok, 1 check failed,\n"
-    "2 usage or I/O error.\n";
+    "2 usage or I/O error. watch exits with the final snapshot's code:\n"
+    "campaign finished 0, failed 1; serve stopped 0; 2 when --once cannot\n"
+    "read the file; 3 when the snapshot is stale (its writer is gone), a\n"
+    "campaign stopped, or --once sees the writer still running.\n";
 
 using util::read_file;
 
@@ -83,6 +89,14 @@ std::uint64_t parse_flag_u64(const std::string& flag, const std::string& text,
     throw std::runtime_error(flag + " needs an unsigned integer, got '" +
                              text + "'");
   return static_cast<std::uint64_t>(value);
+}
+
+/// The value after the flag at args[i]; advances i past it.
+const std::string& flag_value(const std::vector<std::string>& args,
+                              std::size_t& i) {
+  if (i + 1 >= args.size())
+    throw std::runtime_error(args[i] + " needs a value");
+  return args[++i];
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -264,7 +278,7 @@ int cmd_profile(const std::string& trace_path, const std::string& folded_out) {
 }
 
 int cmd_telemetry(const std::string& dir) {
-  const CampaignStatus status = parse_status(read_file(dir + "/status.json"));
+  const Status status = parse_status(read_file(dir + "/status.json"));
   std::printf("%s", render_status(status, /*plain=*/true).c_str());
 
   const TelemetryLog log = load_telemetry(read_file(dir + "/telemetry.jsonl"));
@@ -281,43 +295,60 @@ int cmd_telemetry(const std::string& dir) {
   return 0;
 }
 
-int cmd_serve(const std::string& path, std::uint64_t now_ms,
-              std::uint64_t max_age_ms) {
-  const ServeStatus status = parse_serve_status(read_file(path));
-  std::printf("%s", render_serve_status(status, now_ms, max_age_ms).c_str());
-  return serve_status_is_stale(status, now_ms, max_age_ms) ? 1 : 0;
+/// `watch`: renders the status file until its writer reaches a terminal
+/// state, then exits with that state's code (status_exit_code). A file
+/// that cannot be read yet is waited for, except under --once (exit 2).
+int cmd_watch(const std::string& target, bool plain, bool once,
+              std::uint64_t interval_ms) {
+  const std::string path = std::filesystem::is_directory(target)
+                               ? target + "/status.json"
+                               : target;
+  const auto interval = std::chrono::milliseconds(interval_ms);
+  for (bool rendered = false;; std::this_thread::sleep_for(interval)) {
+    Status status;
+    try {
+      status = parse_status(read_file(path));
+    } catch (const std::exception& e) {
+      if (once)
+        throw std::runtime_error(
+            std::string(e.what()) +
+            " (no status snapshot: was the campaign run with SOLSCHED_OBS "
+            "set, or the daemon with --status?)");
+      continue;  // The writer may not have written its first snapshot yet.
+    }
+    const std::uint64_t now = wall_ms();
+    if (!plain && rendered) std::fputs("\033[H\033[2J", stdout);
+    rendered = true;
+    std::fputs(render_status(status, plain, now).c_str(), stdout);
+    std::fflush(stdout);
+    const StatusHeader& header = status_header(status);
+    if (header.state != "running") return status_exit_code(status);
+    if (status_is_stale(status, now)) {
+      std::fprintf(stderr,
+                   "solsched-inspect watch: status is stale (last update "
+                   "%llu ms ago): its writer is gone without a final "
+                   "snapshot\n",
+                   static_cast<unsigned long long>(now - header.wall_ms));
+      return 3;
+    }
+    if (once) return 3;  // Still running: incomplete from this vantage.
+  }
 }
 
+/// `slo`: the daemon's dashboard, whose SLO lines carry the verdict; exit
+/// 1 while an alert fires.
 int cmd_slo(const std::string& path) {
-  const ServeStatus status = parse_serve_status(read_file(path));
-  if (!status.has_slo) {
+  const Status status = parse_status(read_file(path));
+  const auto* serve = std::get_if<ServeStatus>(&status);
+  if (serve == nullptr)
+    throw std::runtime_error(path + " is not a solsched-serve status file");
+  if (!serve->has_slo) {
     std::printf("%s: no slo configured (start the daemon with --slo)\n",
                 path.c_str());
     return 0;
   }
-  const ServeStatus::Slo& slo = status.slo;
-  std::printf("slo targets: availability %.4f  p99 %llu us  "
-              "windows %llu/%llu s  burn alert >= %.1f\n",
-              slo.target_availability,
-              static_cast<unsigned long long>(slo.target_p99_us),
-              static_cast<unsigned long long>(slo.fast_window_s),
-              static_cast<unsigned long long>(slo.slow_window_s),
-              slo.burn_alert);
-  std::printf("observed:    availability %.4f (fast) %.4f (slow)  "
-              "burn %.2f/%.2f  p99 %llu/%llu us\n",
-              slo.availability_fast, slo.availability_slow, slo.burn_fast,
-              slo.burn_slow,
-              static_cast<unsigned long long>(slo.p99_fast_us),
-              static_cast<unsigned long long>(slo.p99_slow_us));
-  if (slo.alert) {
-    std::printf("verdict:     ALERT (%s%s%s)\n",
-                slo.alert_availability ? "availability-burn" : "",
-                slo.alert_availability && slo.alert_p99 ? ", " : "",
-                slo.alert_p99 ? "p99-latency" : "");
-    return 1;
-  }
-  std::printf("verdict:     ok (error budget intact)\n");
-  return 0;
+  std::printf("%s", render_status(status, /*plain=*/true).c_str());
+  return serve->slo.alert ? 1 : 0;
 }
 
 int cmd_timeline(const std::vector<std::string>& paths,
@@ -383,21 +414,27 @@ int run_inspect(int argc, const char* const* argv) {
 
     if (cmd == "telemetry" && args.size() == 2) return cmd_telemetry(args[1]);
 
-    if (cmd == "serve" && args.size() >= 2 && args.size() % 2 == 0) {
-      std::uint64_t max_age_ms = 5000;
-      std::uint64_t now_ms = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count());
-      for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
-        if (args[i] == "--max-age-ms")
-          max_age_ms = parse_flag_u64(args[i], args[i + 1]);
-        else if (args[i] == "--now-ms")
-          now_ms = parse_flag_u64(args[i], args[i + 1]);
-        else
+    if (cmd == "watch") {
+      std::vector<std::string> paths;
+      bool plain = false, once = false;
+      std::uint64_t interval_ms = 500;
+      for (std::size_t i = 1; i < args.size(); ++i) {
+        if (args[i] == "--plain")
+          plain = true;
+        else if (args[i] == "--once")
+          once = true;
+        else if (args[i] == "--interval-ms")
+          interval_ms = parse_flag_u64("--interval-ms", flag_value(args, i));
+        else if (!args[i].empty() && args[i][0] == '-')
           throw std::runtime_error("unknown flag: " + args[i]);
+        else
+          paths.push_back(args[i]);
       }
-      return cmd_serve(args[1], now_ms, max_age_ms);
+      if (paths.size() != 1)
+        throw std::runtime_error("watch takes one directory or status.json");
+      if (interval_ms == 0)
+        throw std::runtime_error("--interval-ms must be nonzero");
+      return cmd_watch(paths[0], plain, once, interval_ms);
     }
 
     if (cmd == "slo" && args.size() == 2) return cmd_slo(args[1]);
@@ -408,17 +445,12 @@ int run_inspect(int argc, const char* const* argv) {
       std::string merged_out;
       for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--trace-id") {
-          if (i + 1 >= args.size())
-            throw std::runtime_error("--trace-id needs a value");
-          trace_id =
-              parse_flag_u64(args[i], args[i + 1], /*allow_hex=*/true);
-          ++i;
+          trace_id = parse_flag_u64("--trace-id", flag_value(args, i),
+                                    /*allow_hex=*/true);
           if (trace_id == 0)
             throw std::runtime_error("--trace-id must be nonzero");
         } else if (args[i] == "--merged-out") {
-          if (i + 1 >= args.size())
-            throw std::runtime_error("--merged-out needs a value");
-          merged_out = args[++i];
+          merged_out = flag_value(args, i);
         } else if (!args[i].empty() && args[i][0] == '-') {
           throw std::runtime_error("unknown flag: " + args[i]);
         } else {

@@ -67,6 +67,9 @@ std::uint64_t now_us() noexcept;
 /// shared axis and stitch into a single merged timeline.
 std::uint64_t wall_us() noexcept;
 
+/// Milliseconds since the Unix epoch: the wall_ms of the status files.
+inline std::uint64_t wall_ms() noexcept { return wall_us() / 1000; }
+
 // ---- Chrome trace_event sink ---------------------------------------------
 // A bounded in-memory buffer of completed spans. Arm it around the region
 // of interest, then write_chrome_trace() produces a JSON object loadable by

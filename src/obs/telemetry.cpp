@@ -20,13 +20,6 @@ std::string render_double(double value) {
   return buf;
 }
 
-std::uint64_t wall_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 std::string TelemetryEvent::to_json() const {
@@ -52,7 +45,7 @@ TelemetryBus::TelemetryBus(Options options)
                "\", \"spec_digest\": \"" + json_escape(options_.spec_digest) +
                "\"}\n") {
   start_us_ = now_us();
-  start_wall_ms_ = wall_now_ms();
+  start_wall_ms_ = wall_ms();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     write_status_locked();
@@ -91,7 +84,7 @@ void TelemetryBus::publish_locked(std::string type, std::uint64_t shard,
                                   bool sync) {
   TelemetryEvent ev;
   ev.seq = seq_++;
-  ev.wall_ms = wall_now_ms();
+  ev.wall_ms = wall_ms();
   ev.type = std::move(type);
   ev.shard = shard;
   ev.workload = std::move(workload);
@@ -276,7 +269,7 @@ std::string TelemetryBus::status_json_locked() const {
   out += "  \"status\": \"" + std::string(kStatusMagic) + "\",\n";
   out += "  \"spec_digest\": \"" + json_escape(options_.spec_digest) + "\",\n";
   out += "  \"state\": \"" + state_ + "\",\n";
-  out += "  \"wall_ms\": " + std::to_string(wall_now_ms()) + ",\n";
+  out += "  \"wall_ms\": " + std::to_string(wall_ms()) + ",\n";
   out += "  \"elapsed_ms\": " + std::to_string(elapsed_us / 1000) + ",\n";
   out += "  \"threads\": " + std::to_string(options_.threads) + ",\n";
   out += "  \"heartbeat_ms\": " + std::to_string(options_.heartbeat_ms) + ",\n";
@@ -333,11 +326,6 @@ void TelemetryBus::write_status_locked() {
 void TelemetryBus::write_status() {
   std::lock_guard<std::mutex> lock(mutex_);
   write_status_locked();
-}
-
-std::string TelemetryBus::status_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return status_json_locked();
 }
 
 TelemetryBus::Snapshot TelemetryBus::snapshot() const {

@@ -82,7 +82,7 @@ class TelemetryBus {
     std::size_t threads = 1;  ///< Worker parallelism, for ETA math.
   };
 
-  /// Rolling counters, exposed for tests and for status_json().
+  /// Rolling counters, exposed for tests.
   struct Snapshot {
     std::string state;        ///< running | stopped | finished | failed.
     std::size_t total = 0;    ///< Shards in the grid.
@@ -136,9 +136,6 @@ class TelemetryBus {
 
   /// Rewrites <dir>/status.json atomically (util::write_atomic).
   void write_status();
-
-  /// Current snapshot JSON (the exact bytes write_status persists).
-  std::string status_json() const;
 
   Snapshot snapshot() const;
 

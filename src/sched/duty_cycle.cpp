@@ -5,6 +5,17 @@
 #include "sched/sched_util.hpp"
 
 namespace solsched::sched {
+namespace {
+
+/// Weight of the newest period's harvest in the estimate.
+constexpr double kHarvestEwma = 0.3;
+/// Fraction of stored energy spendable per period on top of expected
+/// harvest.
+constexpr double kStorageDraw = 0.25;
+/// Assumed direct-channel efficiency.
+constexpr double kDirectEta = 0.92;
+
+}  // namespace
 
 void DutyCycleScheduler::begin_trace(const task::TaskGraph&,
                                      const nvp::NodeConfig&,
@@ -25,15 +36,15 @@ nvp::PeriodPlan DutyCycleScheduler::begin_period(
   if (!ctx.last_period_solar_w.empty()) {
     harvest_estimate_j_ =
         harvest_seen_
-            ? config_.harvest_ewma * last_j +
-                  (1.0 - config_.harvest_ewma) * harvest_estimate_j_
+            ? kHarvestEwma * last_j +
+                  (1.0 - kHarvestEwma) * harvest_estimate_j_
             : last_j;
     harvest_seen_ = true;
   }
 
   // Budget: expected usable harvest plus a bounded storage withdrawal.
-  budget_j_ = harvest_estimate_j_ * config_.direct_eta +
-              config_.storage_draw * ctx.bank->selected().deliverable_j();
+  budget_j_ = harvest_estimate_j_ * kDirectEta +
+              kStorageDraw * ctx.bank->selected().deliverable_j();
 
   // Enable tasks in deadline order (most urgent first) while they fit; a
   // task's dependencies must already be enabled or it cannot complete.

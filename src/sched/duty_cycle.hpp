@@ -13,20 +13,9 @@
 
 namespace solsched::sched {
 
-/// Tuning knobs.
-struct DutyCycleConfig {
-  double harvest_ewma = 0.3;     ///< Weight of the newest period's harvest.
-  double storage_draw = 0.25;    ///< Fraction of stored energy spendable
-                                 ///< per period on top of expected harvest.
-  double direct_eta = 0.92;     ///< Assumed direct-channel efficiency.
-};
-
 /// Energy-budgeted duty-cycling policy.
 class DutyCycleScheduler final : public nvp::Scheduler {
  public:
-  explicit DutyCycleScheduler(DutyCycleConfig config = {})
-      : config_(config) {}
-
   std::string name() const override { return "Duty-cycle"; }
 
   void begin_trace(const task::TaskGraph& graph, const nvp::NodeConfig& node,
@@ -38,7 +27,6 @@ class DutyCycleScheduler final : public nvp::Scheduler {
   double current_budget_j() const noexcept { return budget_j_; }
 
  private:
-  DutyCycleConfig config_;
   double harvest_estimate_j_ = 0.0;
   bool harvest_seen_ = false;
   double budget_j_ = 0.0;

@@ -8,6 +8,13 @@
 namespace solsched::sched {
 namespace {
 
+/// Assumed direct-channel efficiency on forecast harvest (matches
+/// duty-cycle).
+constexpr double kDirectEta = 0.92;
+/// Safety margin: fraction of demand kept in hand before look-ahead allows
+/// deferral.
+constexpr double kReserve = 0.05;
+
 /// Per-NVP EDF head candidates flattened into one cross-NVP EDF order
 /// (earliest deadline first, ties: less remaining work, then id — the same
 /// tie-breaks candidates_by_nvp applies within an NVP), into `s.heads`.
@@ -108,11 +115,11 @@ std::vector<std::size_t> LaEdfScheduler::schedule_slot(
       std::ceil((latest_deadline_s - ctx.now_in_period_s) / dt));
   const double forecast_j =
       ctx.predictor
-          ? config_.direct_eta * ctx.predictor->predict_energy_j(horizon_slots, dt)
+          ? kDirectEta * ctx.predictor->predict_energy_j(horizon_slots, dt)
           : 0.0;
   const double available_j =
       ctx.bank->selected().deliverable_j() + forecast_j;
-  const bool can_defer = available_j >= demand_j * (1.0 + config_.reserve);
+  const bool can_defer = available_j >= demand_j * (1.0 + kReserve);
 
   std::vector<std::size_t>& chosen = scratch_.chosen;
   chosen.clear();
@@ -139,8 +146,8 @@ nvp::PeriodPlan GreedyFeasibleScheduler::begin_period(
   // Admission budget: forecast harvest over the whole period plus whatever
   // the selected capacitor can deliver right now.
   const double forecast_j =
-      ctx.predictor ? config_.direct_eta * ctx.predictor->predict_energy_j(
-                                               ctx.grid->n_slots, ctx.grid->dt_s)
+      ctx.predictor ? kDirectEta * ctx.predictor->predict_energy_j(
+                                       ctx.grid->n_slots, ctx.grid->dt_s)
                     : 0.0;
   budget_j_ = forecast_j + ctx.bank->selected().deliverable_j();
 

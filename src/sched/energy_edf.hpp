@@ -24,14 +24,6 @@
 
 namespace solsched::sched {
 
-/// Shared tuning knobs of the energy-aware EDF variants.
-struct EnergyEdfConfig {
-  double direct_eta = 0.92;  ///< Assumed direct-channel efficiency on
-                             ///< forecast harvest (matches duty-cycle).
-  double reserve = 0.05;     ///< Safety margin: fraction of demand kept in
-                             ///< hand before look-ahead allows deferral.
-};
-
 /// Slot-path buffers every variant owns: the EDF-head scratch and the
 /// decision being built.
 struct EdfHeadScratch {
@@ -45,14 +37,11 @@ struct EdfHeadScratch {
 /// energy over time-to-deadline), deadline-forced tasks always first.
 class CcEdfScheduler final : public nvp::Scheduler {
  public:
-  explicit CcEdfScheduler(EnergyEdfConfig config = {}) : config_(config) {}
-
   std::string name() const override { return "ccedf"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
 
  private:
-  EnergyEdfConfig config_;
   EdfHeadScratch scratch_;
 };
 
@@ -62,14 +51,11 @@ class CcEdfScheduler final : public nvp::Scheduler {
 /// EDF heads run eagerly up to the PMU's supplyable power.
 class LaEdfScheduler final : public nvp::Scheduler {
  public:
-  explicit LaEdfScheduler(EnergyEdfConfig config = {}) : config_(config) {}
-
   std::string name() const override { return "laedf"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
 
  private:
-  EnergyEdfConfig config_;
   EdfHeadScratch scratch_;
 };
 
@@ -80,9 +66,6 @@ class LaEdfScheduler final : public nvp::Scheduler {
 /// per NVP, shed to the supplyable load.
 class GreedyFeasibleScheduler final : public nvp::Scheduler {
  public:
-  explicit GreedyFeasibleScheduler(EnergyEdfConfig config = {})
-      : config_(config) {}
-
   std::string name() const override { return "greedy"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
@@ -91,7 +74,6 @@ class GreedyFeasibleScheduler final : public nvp::Scheduler {
   double current_budget_j() const noexcept { return budget_j_; }
 
  private:
-  EnergyEdfConfig config_;
   double budget_j_ = 0.0;
   std::vector<bool> enabled_;
   AdmissionScratch admission_;

@@ -5,6 +5,12 @@
 #include "sched/sched_util.hpp"
 
 namespace solsched::sched {
+namespace {
+
+/// Extra slots of safety margin before a start becomes forced.
+constexpr double kMarginSlots = 1.0;
+
+}  // namespace
 
 nvp::PeriodPlan LsaInterScheduler::begin_period(const nvp::PeriodContext&) {
   return {};
@@ -75,7 +81,7 @@ void lsa_slot_decision(const nvp::SlotContext& ctx,
 
 std::vector<std::size_t> LsaInterScheduler::schedule_slot(
     const nvp::SlotContext& ctx) {
-  lsa_slot_decision(ctx, {}, config_.margin_slots, scratch_, chosen_);
+  lsa_slot_decision(ctx, {}, kMarginSlots, scratch_, chosen_);
   return chosen_;
 }
 

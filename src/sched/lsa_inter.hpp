@@ -13,12 +13,6 @@
 
 namespace solsched::sched {
 
-/// Tuning knobs of the baseline.
-struct LsaConfig {
-  /// Extra slots of safety margin before a start becomes forced.
-  double margin_slots = 1.0;
-};
-
 /// Core LSA slot decision, reusable by the proposed scheduler's inter-task
 /// mode: forced starts + free-solar starts + forecast-starved starts, over
 /// tasks allowed by `enabled` (empty = all), into `chosen` (cleared first).
@@ -30,14 +24,11 @@ void lsa_slot_decision(const nvp::SlotContext& ctx,
 /// WCMA-driven lazy (as-late-as-viable) inter-task scheduler.
 class LsaInterScheduler final : public nvp::Scheduler {
  public:
-  explicit LsaInterScheduler(LsaConfig config = {}) : config_(config) {}
-
   std::string name() const override { return "Inter-task"; }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override;
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override;
 
  private:
-  LsaConfig config_;
   LoadMatchScratch scratch_;
   std::vector<std::size_t> chosen_;
 };

@@ -1,7 +1,7 @@
 // Always-on request-path statistics of the solsched-serve daemon.
 //
 // The daemon's status.json must be truthful even in SOLSCHED_OBS-off runs
-// (the tier-1 drill and `solsched-inspect serve` read it unconditionally),
+// (the tier-1 drill and `solsched-inspect watch` read it unconditionally),
 // so these counters do not ride the obs registry: they are a fixed set of
 // relaxed atomics plus one fixed-bucket latency histogram, cheap enough to
 // update on every request. The obs metrics mirror the same facts behind
@@ -31,7 +31,7 @@ class ServeStats {
   /// `fallback_code` is the DecisionReply code: 0 = the DBN plan was
   /// served; 1..4 = a sched-layer fallback; 16/17/18 = the serve-layer
   /// degradation rungs. Each rung keeps its own counter so status.json
-  /// (and `solsched-inspect serve`) can say *which* rung a degraded
+  /// (and `solsched-inspect watch`) can say *which* rung a degraded
   /// deployment is standing on, not just that it degraded.
   void record_decision(std::uint64_t latency_us,
                        std::uint16_t fallback_code) noexcept;

@@ -27,13 +27,6 @@ const std::vector<double>& latency_bounds_ms() {
   return bounds;
 }
 
-std::uint64_t wall_ms_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Frames per read() and jobs per worker batch (serve.read_frames,
 /// serve.batch_jobs): how much of the traffic the per-burst transport
 /// actually coalesces. A read that completes no frame counts as 0.
@@ -740,7 +733,8 @@ std::string Server::status_json(const std::string& state) const {
   out << "{\n";
   out << "  \"status\": \"solsched-serve-v1\",\n";
   out << "  \"state\": \"" << state << "\",\n";
-  out << "  \"wall_ms\": " << wall_ms_now() << ",\n";
+  out << "  \"wall_ms\": " << obs::wall_ms() << ",\n";
+  out << "  \"heartbeat_ms\": " << options_.status_interval_ms << ",\n";
   out << "  \"pid\": " << ::getpid() << ",\n";
   out << "  \"socket\": \"" << obs::json_escape(options_.socket_path)
       << "\",\n";
@@ -820,7 +814,7 @@ void Server::observe_tick() {
   if (slo_) {
     const ServeStats::Snapshot s = stats_.snapshot();
     obs::SloSample sample;
-    sample.wall_ms = wall_ms_now();
+    sample.wall_ms = obs::wall_ms();
     // `errors` is the superset refusal counter (shed, timeouts, internal —
     // everything except malformed, which never reached a verdict).
     sample.bad = s.errors;
@@ -839,7 +833,7 @@ void Server::observe_tick() {
     if (!tsdb_)
       tsdb_ = std::make_unique<obs::TimeseriesStore>(
           options_.timeseries_capacity);
-    tsdb_->sample(wall_ms_now(), obs::MetricsRegistry::global().snapshot());
+    tsdb_->sample(obs::wall_ms(), obs::MetricsRegistry::global().snapshot());
     tsdb_->write_jsonl(options_.timeseries_path);
   }
 }

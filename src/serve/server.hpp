@@ -67,7 +67,9 @@ class Server {
     /// longest a reply write waits for a client to make room in its socket
     /// before the connection is dropped. 0 = none.
     std::uint64_t request_timeout_ms = 1000;
-    std::uint64_t status_interval_ms = 500;  ///< 0 = status only on stop.
+    /// status.json cadence, written into the file as heartbeat_ms (the
+    /// reader's staleness window). 0 = status only at start and stop.
+    std::uint64_t status_interval_ms = 500;
     std::uint64_t assume_infer_us = 0;       ///< Engine budget override.
     fault::ServeFaultPlan faults{};          ///< Reply-path fault hook.
     /// Chrome trace dump written on graceful stop (when the sink is

@@ -11,6 +11,15 @@
 #include "util/thread_pool.hpp"
 
 namespace solsched::sizing {
+namespace {
+
+/// Search range of optimal_capacity_f (F) and its log-spaced pre-scan
+/// resolution.
+constexpr double kMinCapacityF = 0.5;
+constexpr double kMaxCapacityF = 120.0;
+constexpr std::size_t kCoarsePoints = 13;
+
+}  // namespace
 
 std::vector<double> asap_period_load_w(const task::TaskGraph& graph,
                                        std::size_t n_slots, double dt_s) {
@@ -97,8 +106,7 @@ double optimal_capacity_f(const std::vector<double>& deltas_j,
   // Coarse log-space scan to bracket the minimum (the loss curve is close
   // to unimodal but can have shallow plateaus).
   const auto grid_points = util::linspace(
-      std::log10(config.c_min_f), std::log10(config.c_max_f),
-      config.coarse_points);
+      std::log10(kMinCapacityF), std::log10(kMaxCapacityF), kCoarsePoints);
   // Independent candidate capacities: evaluate in parallel into per-index
   // slots, pick the minimum serially in grid order (deterministic at any
   // thread count).

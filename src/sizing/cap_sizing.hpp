@@ -23,9 +23,6 @@ namespace solsched::sizing {
 
 /// Search and physics knobs.
 struct SizingConfig {
-  double c_min_f = 0.5;
-  double c_max_f = 120.0;
-  std::size_t coarse_points = 13;  ///< Log-spaced pre-scan resolution.
   double v_low = 0.5;
   double v_high = 5.0;
   storage::PmuConfig pmu{};
@@ -65,7 +62,8 @@ std::vector<double> day_migration_deltas_j(const std::vector<double>& load_w,
 double migration_loss_j(const std::vector<double>& deltas_j, double capacity_f,
                         const SizingConfig& config, double dt_s);
 
-/// C_i^opt for one day's deltas: log-space coarse scan + golden refinement.
+/// C_i^opt for one day's deltas, searched in [0.5, 120] F: log-space coarse
+/// scan + golden refinement.
 double optimal_capacity_f(const std::vector<double>& deltas_j,
                           const SizingConfig& config, double dt_s);
 

@@ -20,10 +20,16 @@ SlotFlow Pmu::run_slot(double solar_w, double load_w, CapacitorBank& bank,
 
   // Feasibility check first so a brownout slot never half-drains the
   // capacitor: either the load runs for the whole slot or not at all
-  // (the NVPs checkpoint and the slot's work is lost).
-  const double cap_deliverable_j = bank.selected().deliverable_j();
+  // (the NVPs checkpoint and the slot's work is lost). The capacitor's
+  // deliverable energy (a regulator-curve evaluation) is read only when
+  // the direct channel alone falls short. That is exact: deliverable_j()
+  // is never negative (usable energy is clamped at 0, every efficiency
+  // curve at a positive floor), and rounding is monotone, so adding it
+  // cannot turn a feasible sum infeasible.
   const bool feasible =
-      flow.load_request_j <= direct_available_j + cap_deliverable_j + 1e-12;
+      flow.load_request_j <= direct_available_j + 1e-12 ||
+      flow.load_request_j <=
+          direct_available_j + bank.selected().deliverable_j() + 1e-12;
 
   double load_j = flow.load_request_j;
   if (!feasible) {

@@ -13,6 +13,7 @@
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
+#include "obs/analysis/status_view.hpp"
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -50,7 +51,8 @@ std::string slurp(const std::string& path) {
 }
 
 obs::analysis::CampaignStatus status_of(const std::string& dir) {
-  return obs::analysis::parse_status(slurp(dir + "/status.json"));
+  return std::get<obs::analysis::CampaignStatus>(
+      obs::analysis::parse_status(slurp(dir + "/status.json")));
 }
 
 class CampaignTelemetry : public ::testing::Test {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -82,6 +83,87 @@ TEST_F(InspectCli, UsageAndErrorExitCodes) {
   EXPECT_EQ(run({"summary", "/no/such/file"}), 2);   // I/O error.
   const std::string garbage = write_temp("garbage.json", "not json");
   EXPECT_EQ(run({"diff", garbage, garbage}), 2);     // Parse error.
+  EXPECT_EQ(run({"watch"}), 2);                      // Missing argument.
+  EXPECT_EQ(run({"watch", garbage, garbage}), 2);    // Two paths.
+  EXPECT_EQ(run({"watch", garbage, "--follow"}), 2);  // Unknown flag.
+}
+
+// A campaign snapshot in `state`, written at `wall_ms`.
+std::string campaign_status(const std::string& state,
+                            const std::string& wall_ms = "5000000") {
+  return "{\"status\": \"solsched-campaign-status-v1\", \"state\": \"" +
+         state + "\", \"wall_ms\": " + wall_ms +
+         ", \"heartbeat_ms\": 1000, \"stall_ms\": 30000}";
+}
+
+// A serve snapshot in `state`, written at `wall_ms` by a daemon that
+// rewrites it every `heartbeat_ms`.
+std::string serve_status(const std::string& state, const std::string& wall_ms,
+                         const std::string& heartbeat_ms = "500") {
+  return "{\"status\": \"solsched-serve-v1\", \"state\": \"" + state +
+         "\", \"wall_ms\": " + wall_ms + ", \"heartbeat_ms\": " +
+         heartbeat_ms + "}";
+}
+
+// `watch` exits with the final snapshot's code. A terminal state ends the
+// watch whatever the clock says, so none of these depends on when it runs.
+TEST_F(InspectCli, WatchExitsWithTheFinalSnapshotsCode) {
+  const std::string finished =
+      write_temp("finished.json", campaign_status("finished"));
+  EXPECT_EQ(run({"watch", finished, "--plain", "--once"}), 0);
+  EXPECT_EQ(run({"watch", finished, "--plain"}), 0);  // Terminal: no poll.
+  const std::string failed =
+      write_temp("failed.json", campaign_status("failed"));
+  EXPECT_EQ(run({"watch", failed, "--plain", "--once"}), 1);
+  const std::string stopped =
+      write_temp("stopped.json", campaign_status("stopped"));
+  EXPECT_EQ(run({"watch", stopped, "--plain", "--once"}), 3);  // Resume me.
+  const std::string serve_stopped =
+      write_temp("serve_stopped.json", serve_status("stopped", "1"));
+  EXPECT_EQ(run({"watch", serve_stopped, "--once"}), 0);
+
+  // A directory means <dir>/status.json.
+  const std::string dir = ::testing::TempDir() + "inspect_watch_dir";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/status.json") << campaign_status("finished");
+  EXPECT_EQ(run({"watch", dir, "--plain", "--once"}), 0);
+  std::filesystem::remove_all(dir);
+}
+
+// A "running" snapshot older than five heartbeats is stale: its writer is
+// gone (exit 3, with a note on stderr). One written "in the future" (the
+// writer's clock runs ahead) is fresh, and --once still exits 3 for it:
+// the run is incomplete from this vantage.
+TEST_F(InspectCli, WatchFlagsStaleRunningSnapshots) {
+  const std::string dead =
+      write_temp("dead.json", serve_status("running", "1", "50"));
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run({"watch", dead, "--once"}), 3);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("(stale: daemon gone?)"), std::string::npos) << out;
+  EXPECT_NE(err.find("status is stale"), std::string::npos) << err;
+
+  const std::string ahead = write_temp(
+      "ahead.json", serve_status("running", "4102444800000", "50"));
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run({"watch", ahead, "--once"}), 3);
+  out = ::testing::internal::GetCapturedStdout();
+  err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out.find("stale"), std::string::npos) << out;
+  EXPECT_EQ(err.find("stale"), std::string::npos) << err;
+}
+
+TEST_F(InspectCli, WatchOnceRefusesMissingOrUnknownFiles) {
+  EXPECT_EQ(run({"watch", ::testing::TempDir() + "inspect_no_such.json",
+                 "--once"}),
+            2);
+  const std::string unknown = write_temp(
+      "unknown.json", "{\"status\": \"solsched-serve-v2\", "
+                      "\"state\": \"stopped\"}");
+  EXPECT_EQ(run({"watch", unknown, "--once"}), 2);
 }
 
 // Every numeric flag goes through one strict parser: a sign, trailing text,
@@ -98,24 +180,19 @@ TEST_F(InspectCli, NumericFlagsRejectSignsGarbageAndOverflow) {
   EXPECT_EQ(run({"ledger", trace, "--max-rows", ""}), 2);
   EXPECT_EQ(run({"ledger", trace, "--max-rows", "99999999999999999999"}), 2);
 
-  // A daemon snapshot written at wall_ms 5000000: fresh one second later
-  // under a 5 s bound, stale under a 500 ms bound.
+  // A stopped daemon: watch exits 0 at once, whatever the poll cadence.
   const std::string status = write_temp(
       "status.json",
-      "{\"status\": \"solsched-serve-v1\", \"state\": \"running\", "
-      "\"wall_ms\": 5000000, \"pid\": 1, \"socket\": \"s\"}");
-  EXPECT_EQ(run({"serve", status, "--now-ms", "5001000", "--max-age-ms",
-                 "5000"}),
-            0);
-  EXPECT_EQ(run({"serve", status, "--now-ms", "5001000", "--max-age-ms",
-                 "500"}),
-            1);
-  EXPECT_EQ(run({"serve", status, "--now-ms", "5001000", "--max-age-ms",
-                 "5000x"}),
+      "{\"status\": \"solsched-serve-v1\", \"state\": \"stopped\", "
+      "\"wall_ms\": 5000000}");
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "100"}), 0);
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "100x"}), 2);
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "-1"}), 2);
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "1e3"}), 2);
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "0"}), 2);
+  EXPECT_EQ(run({"watch", status, "--interval-ms"}), 2);  // No value.
+  EXPECT_EQ(run({"watch", status, "--interval-ms", "99999999999999999999"}),
             2);
-  EXPECT_EQ(run({"serve", status, "--now-ms", "5001000x"}), 2);
-  EXPECT_EQ(run({"serve", status, "--now-ms", "-1"}), 2);
-  EXPECT_EQ(run({"serve", status, "--max-age-ms", "1e3"}), 2);
 
   // One traced client span, id 0xabc.
   const std::string dump = write_temp(

@@ -1,43 +1,18 @@
 // The disabled-path contract: with observability off, the OBS_* macros and
 // ScopedSpan cost one atomic load and a branch — zero heap allocation.
 //
-// Allocation is counted with a global operator new/delete override, so this
-// test lives in its own binary (the override is process-wide). Counting is
+// Allocation is counted by tests/counting_allocator.cpp, which replaces the
+// global operator new, so this test lives in its own binary. Counting is
 // scoped: only the instrumented region between the counter reads matters,
 // and the region runs the macros many times to catch one-shot allocations
 // (static-init, registry touches) as well as per-call ones.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "../counting_allocator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace solsched::obs {
 namespace {
@@ -48,7 +23,7 @@ TEST(DisabledPathTest, MacrosDoNotAllocate) {
   // measured window.
   OBS_COUNTER_ADD("test.disabled.warmup", 1);
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 10000; ++i) {
     OBS_COUNTER_ADD("test.disabled.counter", i);
     OBS_GAUGE_SET("test.disabled.gauge", static_cast<double>(i));
@@ -57,7 +32,7 @@ TEST(DisabledPathTest, MacrosDoNotAllocate) {
                           static_cast<double>(i));
     OBS_SPAN("test.disabled.span");
   }
-  const std::uint64_t after = g_allocations.load();
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after, before);
 
   // Nothing leaked into the registry either.
@@ -80,9 +55,9 @@ TEST(DisabledPathTest, EnabledPathAllocatesOnlyOnFirstTouch) {
   // First execution registers the metrics (allocation expected) ...
   touch();
   // ... subsequent executions hit the cached references: no allocation.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 1000; ++i) touch();
-  const std::uint64_t after = g_allocations.load();
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after, before);
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
   EXPECT_EQ(snap.counter_or("test.firsttouch.counter"), 1001u);

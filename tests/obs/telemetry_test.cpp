@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/analysis/status_view.hpp"
 #include "obs/analysis/telemetry_view.hpp"
 #include "obs/metrics.hpp"
 
@@ -22,6 +23,11 @@ std::string slurp(const std::string& path) {
   std::stringstream content;
   content << in.rdbuf();
   return content.str();
+}
+
+analysis::CampaignStatus campaign_status(const std::string& dir) {
+  return std::get<analysis::CampaignStatus>(
+      analysis::parse_status(slurp(dir + "/status.json")));
 }
 
 std::string fresh_dir(const char* name) {
@@ -101,8 +107,7 @@ TEST_F(TelemetryBusTest, StatusJsonTracksProgressAndState) {
   bus.shard_claimed(5, "wam", "d1d1d1d1d1d1d1d1");
   bus.write_status();
 
-  analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
+  analysis::CampaignStatus status = campaign_status(dir);
   EXPECT_EQ(status.state, "running");
   EXPECT_EQ(status.spec_digest, "00000000deadbeef");
   EXPECT_EQ(status.total, 8u);
@@ -118,7 +123,7 @@ TEST_F(TelemetryBusTest, StatusJsonTracksProgressAndState) {
 
   bus.shard_done(5, false);
   bus.campaign_finish(false);
-  status = analysis::parse_status(slurp(dir + "/status.json"));
+  status = campaign_status(dir);
   EXPECT_EQ(status.state, "stopped");
   EXPECT_EQ(status.done, 3u);
   EXPECT_EQ(analysis::status_exit_code(status), 3);
@@ -131,8 +136,7 @@ TEST_F(TelemetryBusTest, DestructionWithoutFinishRecordsFailed) {
     bus.campaign_start(2, {{"ecg", 2}}, {});
     // No campaign_finish: the run unwound through an exception.
   }
-  const analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
+  const analysis::CampaignStatus status = campaign_status(dir);
   EXPECT_EQ(status.state, "failed");
   EXPECT_EQ(analysis::status_exit_code(status), 1);
   const auto census =
@@ -198,8 +202,7 @@ TEST_F(TelemetryBusTest, WatchdogFlagsStalledShard) {
       MetricsRegistry::global().snapshot().counter_or("campaign.stall.flagged"),
       1u);
 
-  const analysis::CampaignStatus status =
-      analysis::parse_status(slurp(dir + "/status.json"));
+  const analysis::CampaignStatus status = campaign_status(dir);
   EXPECT_EQ(status.stalled, 1u);
 }
 

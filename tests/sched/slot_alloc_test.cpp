@@ -9,44 +9,19 @@
 // vector and the like). A policy that starts allocating per slot fails
 // here by name, with its measured count.
 //
-// Allocation is counted with a global operator new override, so this suite
-// lives in its own binary (the override is process-wide).
+// Allocation is counted by tests/counting_allocator.cpp, which replaces the
+// global operator new, so this suite lives in its own binary.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
+#include "../counting_allocator.hpp"
 #include "../test_helpers.hpp"
 #include "fault/fault_injector.hpp"
 #include "nvp/node_sim.hpp"
 #include "sched/registry.hpp"
 #include "task/benchmarks.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace solsched::sched {
 namespace {
@@ -64,14 +39,14 @@ class DayTwoCounter final : public nvp::Scheduler {
     inner_->begin_trace(graph, config, trace);
   }
   nvp::PeriodPlan begin_period(const nvp::PeriodContext& ctx) override {
-    if (ctx.day == 1 && ctx.period == 0) start_ = g_allocations.load();
+    if (ctx.day == 1 && ctx.period == 0) start_ = test::allocation_count();
     return inner_->begin_period(ctx);
   }
   std::vector<std::size_t> schedule_slot(const nvp::SlotContext& ctx) override {
     return inner_->schedule_slot(ctx);
   }
 
-  std::uint64_t counted() const { return g_allocations.load() - start_; }
+  std::uint64_t counted() const { return test::allocation_count() - start_; }
 
  private:
   nvp::Scheduler* inner_;

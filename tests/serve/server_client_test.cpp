@@ -29,7 +29,7 @@
 #include "../test_helpers.hpp"
 #include "campaign/artifact_cache.hpp"
 #include "core/pipeline.hpp"
-#include "obs/analysis/serve_view.hpp"
+#include "obs/analysis/status_view.hpp"
 #include "obs/analysis/timeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -576,13 +576,16 @@ TEST(ServeEndToEnd, ShutdownFrameUnblocksWaitAndStatusFileIsParseable) {
   ASSERT_TRUE(in.good());
   std::ostringstream body;
   body << in.rdbuf();
-  const auto status = obs::analysis::parse_serve_status(body.str());
+  const auto status = std::get<obs::analysis::ServeStatus>(
+      obs::analysis::parse_status(body.str()));
   EXPECT_EQ(status.state, "stopped");
+  EXPECT_EQ(status.heartbeat_ms, 20u);  // The status cadence.
   EXPECT_EQ(status.controllers, 1u);
   EXPECT_GE(status.requests, 1u);
   // A stopped snapshot never goes stale, no matter the clock.
-  EXPECT_FALSE(obs::analysis::serve_status_is_stale(
-      status, status.wall_ms + 3600 * 1000, 5000));
+  EXPECT_FALSE(
+      obs::analysis::status_is_stale(status, status.wall_ms + 3600 * 1000));
+  EXPECT_EQ(obs::analysis::status_exit_code(status), 0);
 }
 
 // A socket path may hold any byte but NUL. The status file escapes it, so a
@@ -600,7 +603,8 @@ TEST(ServeEndToEnd, StatusFileEscapesControlCharactersInTheSocketPath) {
   ASSERT_TRUE(in.good());
   std::ostringstream body;
   body << in.rdbuf();
-  const auto status = obs::analysis::parse_serve_status(body.str());
+  const auto status = std::get<obs::analysis::ServeStatus>(
+      obs::analysis::parse_status(body.str()));
   EXPECT_EQ(status.state, "stopped");
   EXPECT_EQ(status.socket, options.socket_path);
 }

@@ -74,14 +74,13 @@ TEST(OptimalCapacity, WithinSearchBounds) {
                                              storage::PmuConfig{});
   const auto config = fast_config();
   const double c_opt = optimal_capacity_f(deltas, config, grid.dt_s);
-  EXPECT_GE(c_opt, config.c_min_f);
-  EXPECT_LE(c_opt, config.c_max_f);
+  // The search range is [0.5, 120] F.
+  EXPECT_GE(c_opt, 0.5);
+  EXPECT_LE(c_opt, 120.0);
   // The optimum beats the extremes.
   const double loss_opt = migration_loss_j(deltas, c_opt, config, grid.dt_s);
-  const double loss_min =
-      migration_loss_j(deltas, config.c_min_f, config, grid.dt_s);
-  const double loss_max =
-      migration_loss_j(deltas, config.c_max_f, config, grid.dt_s);
+  const double loss_min = migration_loss_j(deltas, 0.5, config, grid.dt_s);
+  const double loss_max = migration_loss_j(deltas, 120.0, config, grid.dt_s);
   EXPECT_LE(loss_opt, loss_min + 1e-6);
   EXPECT_LE(loss_opt, loss_max + 1e-6);
 }

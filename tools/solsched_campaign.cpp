@@ -4,26 +4,24 @@
 //   solsched-campaign run    --spec "..." --dir out/         execute/resume
 //   solsched-campaign report --journal out/journal.jsonl     aggregate table
 //   solsched-campaign expand --spec "..."                    list the shards
-//   solsched-campaign watch  out/                            live dashboard
+//
+// `solsched-inspect watch out/` is the live dashboard over the run's
+// status.json.
 //
 // Exit-code contract (all subcommands):
-//   0  success — run: campaign complete; watch: campaign finished
-//   1  failure — report/aggregate write failed; watch: campaign failed
+//   0  success — run: campaign complete
+//   1  failure — report/aggregate write failed
 //   2  usage or spec error (bad flags, unreadable files, digest mismatch)
-//   3  "resume me" — run: stopped before completion (--stop-after);
-//      watch: campaign stopped, or its writer went silent mid-run; rerun
+//   3  "resume me" — run: stopped before completion (--stop-after); rerun
 //      `solsched-campaign run` with the same --dir to resume
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "obs/analysis/telemetry_view.hpp"
 #include "util/cli.hpp"
 #include "util/durable.hpp"
 #include "util/thread_pool.hpp"
@@ -34,35 +32,24 @@ using namespace solsched;
 
 int usage(std::FILE* out) {
   std::fprintf(out,
-               "usage: solsched-campaign <run|report|expand|watch> [--help]\n"
+               "usage: solsched-campaign <run|report|expand> [--help]\n"
                "  run    --spec S|--spec-file F --dir D [--cache-dir C]\n"
                "         [--threads N] [--stop-after K] [--aggregate-out P]\n"
                "         [--report] [--heartbeat-ms MS] [--stall-after-ms MS]\n"
                "  report --journal J [--json] [--out P]\n"
                "  expand --spec S|--spec-file F\n"
-               "  watch  <dir> [--plain] [--once] [--interval-ms MS]\n"
                "\n"
                "run publishes live telemetry (<dir>/telemetry.jsonl +\n"
-               "<dir>/status.json) when SOLSCHED_OBS is set; watch renders\n"
-               "the status snapshot (--plain: no ANSI escapes, for CI logs;\n"
-               "--once: single render, no polling).\n"
+               "<dir>/status.json) when SOLSCHED_OBS is set;\n"
+               "`solsched-inspect watch <dir>` renders the status snapshot.\n"
                "\n"
                "exit codes:\n"
-               "  0  run: campaign complete / watch: campaign finished\n"
-               "  1  report or aggregate write failed / watch: campaign\n"
-               "     failed\n"
+               "  0  run: campaign complete\n"
+               "  1  report or aggregate write failed\n"
                "  2  usage or spec error\n"
                "  3  resume me — run: stopped before completion\n"
-               "     (--stop-after) / watch: campaign stopped or its writer\n"
-               "     went silent; rerun `run` with the same --dir\n");
+               "     (--stop-after); rerun `run` with the same --dir\n");
   return out == stdout ? 0 : 2;
-}
-
-std::uint64_t wall_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Spec files: one or more lines of the `key=value;...` grammar. Lines are
@@ -191,80 +178,6 @@ int cmd_report(int argc, const char* const* argv) {
   return 0;
 }
 
-/// `watch <dir>`: renders <dir>/status.json until the campaign reaches a
-/// terminal state, then exits with that state's code (see usage()). The
-/// campaign directory is the one positional argument; util::Cli rejects
-/// positionals, so it is peeled off before flag parsing.
-int cmd_watch(int argc, const char* const* argv) {
-  std::string dir;
-  std::vector<const char*> rest = {argc > 0 ? argv[0] : "watch"};
-  for (int i = 1; i < argc; ++i) {
-    if (dir.empty() && argv[i][0] != '-')
-      dir = argv[i];
-    else
-      rest.push_back(argv[i]);
-  }
-  util::Cli cli;
-  cli.add_flag("plain", "false", "no ANSI escapes / screen clearing (CI logs)");
-  cli.add_flag("once", "false", "render one snapshot and exit");
-  cli.add_flag("interval-ms", "500", "poll cadence while the campaign runs");
-  if (!cli.parse(static_cast<int>(rest.size()), rest.data())) {
-    std::fprintf(stderr, "solsched-campaign watch: %s\n", cli.error().c_str());
-    return 2;
-  }
-  if (cli.help_requested()) return usage(stdout);
-  if (dir.empty()) {
-    std::fprintf(stderr,
-                 "solsched-campaign watch: campaign directory required\n");
-    return 2;
-  }
-  const bool plain = cli.get_bool("plain");
-  const bool once = cli.get_bool("once");
-  const auto interval =
-      std::chrono::milliseconds(cli.get_int("interval-ms") > 0
-                                    ? cli.get_int("interval-ms")
-                                    : 500);
-
-  using obs::analysis::CampaignStatus;
-  bool first = true;
-  for (;;) {
-    CampaignStatus status;
-    try {
-      status = obs::analysis::parse_status(
-          util::read_file(dir + "/status.json"));
-    } catch (const std::exception& e) {
-      if (once) {
-        std::fprintf(stderr, "solsched-campaign watch: %s\n", e.what());
-        std::fprintf(stderr,
-                     "(no status snapshot — was the campaign run with "
-                     "SOLSCHED_OBS set?)\n");
-        return 2;
-      }
-      // The runner may not have written its first snapshot yet; wait.
-      std::this_thread::sleep_for(interval);
-      continue;
-    }
-    const std::uint64_t now = wall_now_ms();
-    if (!plain && !first) std::fputs("\033[H\033[2J", stdout);
-    first = false;
-    std::fputs(obs::analysis::render_status(status, plain, now).c_str(),
-               stdout);
-    std::fflush(stdout);
-    if (status.state != "running")
-      return obs::analysis::status_exit_code(status);
-    if (obs::analysis::status_is_stale(status, now)) {
-      std::fprintf(stderr,
-                   "solsched-campaign watch: status is stale (last update "
-                   "%llu ms ago) — the campaign process is gone; rerun "
-                   "`run` with the same --dir to resume\n",
-                   static_cast<unsigned long long>(now - status.wall_ms));
-      return 3;
-    }
-    if (once) return 3;  // Still running: incomplete from this vantage.
-    std::this_thread::sleep_for(interval);
-  }
-}
-
 int cmd_expand(int argc, const char* const* argv) {
   util::Cli cli;
   add_spec_flags(cli);
@@ -293,7 +206,6 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmd_run(argc - 1, argv + 1);
     if (cmd == "report") return cmd_report(argc - 1, argv + 1);
     if (cmd == "expand") return cmd_expand(argc - 1, argv + 1);
-    if (cmd == "watch") return cmd_watch(argc - 1, argv + 1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "solsched-campaign: %s\n", e.what());
     return cmd == "report" ? 1 : 2;

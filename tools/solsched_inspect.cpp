@@ -1,30 +1,7 @@
 // solsched-inspect: offline inspection of simulation runs. All logic lives
-// in obs/analysis/inspect.cpp so the ctest suite drives the same code —
-// except the `campaign` subcommand, handled here because the campaign
-// library layers above obs/analysis.
-#include <cstdio>
-#include <cstring>
-#include <exception>
-
-#include "campaign/report.hpp"
+// in obs/analysis/inspect.cpp so the ctest suite drives the same code.
 #include "obs/analysis/inspect.hpp"
 
 int main(int argc, char** argv) {
-  // `solsched-inspect campaign <journal>`: aggregate view of a campaign
-  // result store (same output as `solsched-campaign report`).
-  if (argc >= 2 && std::strcmp(argv[1], "campaign") == 0) {
-    if (argc != 3) {
-      std::fprintf(stderr, "usage: solsched-inspect campaign <journal>\n");
-      return 2;
-    }
-    try {
-      const auto records = solsched::campaign::load_journal_records(argv[2]);
-      std::fputs(solsched::campaign::aggregate_table(records).c_str(), stdout);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "solsched-inspect: %s\n", e.what());
-      return 2;
-    }
-    return 0;
-  }
   return solsched::obs::analysis::run_inspect(argc, argv);
 }

@@ -7,15 +7,14 @@
 //   solsched-serve reload  --socket S --key K                      hot-reload
 //   solsched-serve ping    --socket S                              liveness
 //   solsched-serve stop    --socket S                              drain+exit
-//   solsched-serve watch   <status.json>                           dashboard
+//
+// `solsched-inspect watch <status.json>` is the dashboard over the
+// daemon's status file.
 //
 // Exit-code contract:
-//   0  success — query/loadgen: every request answered with a decision;
-//      watch: the daemon reached a clean "stopped" state
+//   0  success — query/loadgen: every request answered with a decision
 //   1  failure — retries exhausted, a typed refusal, or a daemon fault
 //   2  usage error (bad flags, malformed key/CSV)
-//   3  watch only: status is stale (daemon presumed killed) or --once saw
-//      a still-running daemon
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -27,14 +26,12 @@
 #include <vector>
 
 #include "fault/serve_faults.hpp"
-#include "obs/analysis/serve_view.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
-#include "util/durable.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -47,8 +44,7 @@ void on_signal(int) { g_signal = 1; }
 int usage(std::FILE* out) {
   std::fprintf(
       out,
-      "usage: solsched-serve <run|query|loadgen|reload|ping|stop|watch>"
-      " [--help]\n"
+      "usage: solsched-serve <run|query|loadgen|reload|ping|stop> [--help]\n"
       "  run     --socket S --cache-dir C [--status P] [--workers N]\n"
       "          [--queue-depth N] [--timeout-ms MS] [--status-interval-ms MS]\n"
       "          [--assume-infer-us US] [--fault \"drop=0.1,...\"]\n"
@@ -64,8 +60,6 @@ int usage(std::FILE* out) {
       "  reload  --socket S --key HEX\n"
       "  ping    --socket S\n"
       "  stop    --socket S\n"
-      "  watch   <status.json> [--plain] [--once] [--interval-ms MS]\n"
-      "          [--max-age-ms MS]\n"
       "\n"
       "retry flags: --max-attempts N --base-backoff-ms MS --max-backoff-ms MS\n"
       "             --recv-timeout-ms MS --jitter-seed S\n"
@@ -75,8 +69,7 @@ int usage(std::FILE* out) {
       "one timeline via `solsched-inspect timeline`.\n"
       "\n"
       "exit codes: 0 success; 1 refusal/exhausted retries/daemon fault;\n"
-      "            2 usage error; 3 watch: stale status or still running\n"
-      "            with --once\n");
+      "            2 usage error\n");
   return out == stdout ? 0 : 2;
 }
 
@@ -500,88 +493,6 @@ int cmd_reload(int argc, const char* const* argv) {
   return ack.ok ? 0 : 1;
 }
 
-std::uint64_t wall_now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-/// `watch <status.json>`: live dashboard over the daemon's status file,
-/// the serve twin of `solsched-campaign watch`. Exits 0 when the daemon
-/// writes its terminal "stopped" snapshot, 3 when the snapshot goes stale
-/// (daemon presumed killed) or when --once finds it still running. The
-/// status path is the one positional argument; util::Cli rejects
-/// positionals, so it is peeled off before flag parsing.
-int cmd_watch(int argc, const char* const* argv) {
-  std::string path;
-  std::vector<const char*> rest = {argc > 0 ? argv[0] : "watch"};
-  for (int i = 1; i < argc; ++i) {
-    if (path.empty() && argv[i][0] != '-')
-      path = argv[i];
-    else
-      rest.push_back(argv[i]);
-  }
-  util::Cli cli;
-  cli.add_flag("plain", "false", "no ANSI escapes / screen clearing (CI logs)");
-  cli.add_flag("once", "false", "render one snapshot and exit");
-  cli.add_flag("interval-ms", "500", "poll cadence while the daemon runs");
-  cli.add_flag("max-age-ms", "5000", "running snapshot older than this = stale");
-  if (!cli.parse(static_cast<int>(rest.size()), rest.data())) {
-    std::fprintf(stderr, "solsched-serve watch: %s\n", cli.error().c_str());
-    return 2;
-  }
-  if (cli.help_requested()) return usage(stdout);
-  if (path.empty()) {
-    std::fprintf(stderr, "solsched-serve watch: status.json path required\n");
-    return 2;
-  }
-  const bool plain = cli.get_bool("plain");
-  const bool once = cli.get_bool("once");
-  const std::uint64_t max_age_ms = cli.get_uint("max-age-ms", 86400000);
-  const auto interval = std::chrono::milliseconds(
-      cli.get_uint("interval-ms", 600000) > 0
-          ? cli.get_uint("interval-ms", 600000)
-          : 500);
-
-  bool first = true;
-  for (;;) {
-    obs::analysis::ServeStatus status;
-    try {
-      status = obs::analysis::parse_serve_status(util::read_file(path));
-    } catch (const std::exception& e) {
-      if (once) {
-        std::fprintf(stderr, "solsched-serve watch: %s\n", e.what());
-        std::fprintf(stderr,
-                     "(no status snapshot — was the daemon run with "
-                     "--status?)\n");
-        return 2;
-      }
-      // The daemon may not have written its first snapshot yet; wait.
-      std::this_thread::sleep_for(interval);
-      continue;
-    }
-    const std::uint64_t now = wall_now_ms();
-    if (!plain && !first) std::fputs("\033[H\033[2J", stdout);
-    first = false;
-    std::fputs(
-        obs::analysis::render_serve_status(status, now, max_age_ms).c_str(),
-        stdout);
-    std::fflush(stdout);
-    if (status.state == "stopped") return 0;
-    if (obs::analysis::serve_status_is_stale(status, now, max_age_ms)) {
-      std::fprintf(stderr,
-                   "solsched-serve watch: status is stale (last update "
-                   "%llu ms ago) — the daemon is gone without a \"stopped\" "
-                   "snapshot (kill -9?)\n",
-                   static_cast<unsigned long long>(now - status.wall_ms));
-      return 3;
-    }
-    if (once) return 3;  // Still running: incomplete from this vantage.
-    std::this_thread::sleep_for(interval);
-  }
-}
-
 int cmd_simple(int argc, const char* const* argv, bool stop) {
   util::Cli cli;
   cli.add_flag("socket", "", "daemon socket path");
@@ -619,7 +530,6 @@ int main(int argc, char** argv) {
     if (cmd == "reload") return cmd_reload(argc - 1, argv + 1);
     if (cmd == "ping") return cmd_simple(argc - 1, argv + 1, false);
     if (cmd == "stop") return cmd_simple(argc - 1, argv + 1, true);
-    if (cmd == "watch") return cmd_watch(argc - 1, argv + 1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "solsched-serve: %s\n", e.what());
     return 2;
