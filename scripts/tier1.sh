@@ -18,7 +18,8 @@
 # controller-decision check, a 1-vs-4-thread journal comparison with the
 # Optimal row's DP nested under its row, plus the
 # concurrency/obs/telemetry/serve/tsdb/sched/durable/campaign suites rerun
-# under ThreadSanitizer, the fault suite rerun under
+# under ThreadSanitizer, the fault suite and the file readers' suites
+# (analysis/campaign/obs/telemetry/tsdb) rerun under
 # UndefinedBehaviorSanitizer, and the simd parity, sched, durable and
 # analysis suites plus the period optimizer's tests rerun under
 # AddressSanitizer+UBSan.
@@ -34,15 +35,18 @@
 # `ctest -L "concurrency|obs|telemetry|serve|tsdb|sched|durable|campaign"`
 # — the label families with real cross-thread traffic (durable: concurrent
 # AppendLog appends; campaign: controllers published by the training lane
-# to the shards beside it); the UBSan phase runs `ctest -L fault` — the
+# to the shards beside it); the UBSan phase (float-cast-overflow included)
+# runs `ctest -L "fault|analysis|campaign|obs|telemetry|tsdb"` — the
 # injection paths push NaN and out-of-range values through the decoders,
-# exactly where UB would hide; the ASan+UBSan phase runs
+# and the readers of journals, telemetry, traces, status files and the
+# tsdb ring turn numbers from disk into integers, exactly where UB would
+# hide; the ASan+UBSan phase runs
 # `ctest -L "simd|sched|durable|analysis"` and
 # `ctest -R "PeriodSweepPin|PeriodOptimizer"` — the vector kernels' tails
 # and pack buffers, the policies' reused, re-sized slot-path scratch
 # buffers, the durable layer's torn-tail scan and truncate/heal buffers,
-# the JSON reader that parses files from disk (with the shared string
-# escaper under it) and the subset sweep's per-depth state copies are
+# the JSON reader (obs/json) that parses files from disk, with the shared
+# string escaper under it, and the subset sweep's per-depth state copies are
 # exactly where an out-of-bounds read would hide.
 set -eu
 
@@ -301,17 +305,21 @@ cmake --build "$TSAN_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
   -L "concurrency|obs|telemetry|serve|tsdb|sched|durable|campaign"
 
-echo "== tier 1: UBSan rerun of fault suite ($UBSAN_DIR) =="
+echo "== tier 1: UBSan rerun of fault + file-reader suites ($UBSAN_DIR) =="
+# The readers ride along because every file solsched writes is read back
+# through obs/json, whose integers must never reach an out-of-range
+# double-to-integer conversion.
 cmake -B "$UBSAN_DIR" -S . -DSOLSCHED_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$JOBS"
-ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" -L fault
+ctest --test-dir "$UBSAN_DIR" --output-on-failure -j "$JOBS" \
+  -L "fault|analysis|campaign|obs|telemetry|tsdb"
 
 echo "== tier 1: ASan+UBSan rerun of simd + sched + durable + analysis suites ($ASAN_DIR) =="
 # sched rides along because every policy reuses slot-path scratch buffers
 # re-sized per graph (DESIGN.md §9): a stale size there reads out of bounds.
 # durable rides along for the torn-at-every-byte sweep: the AppendLog tail
 # scan and replay_lines slice buffers at every truncation offset. analysis
-# rides along because json_mini parses trace, status and journal files
+# rides along because obs/json parses trace, status and journal files
 # from disk, and obs::json_escape writes what it reads back. The period
 # optimizer's tests ride along for the subset sweep's per-depth state
 # copies and its in-place member permutation.

@@ -5,8 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "obs/analysis/json_mini.hpp"
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::campaign {
@@ -22,32 +21,14 @@ std::string render_double(double value) {
 
 std::string render_u64(std::uint64_t value) { return std::to_string(value); }
 
-/// 16-digit hex. Full-width u64 values (hashes, fingerprints) go through
-/// JSON strings because a JSON number round-trips via double and loses bits
-/// above 2^53.
+/// 16-digit hex: how the header's spec digest and each record's controller
+/// fingerprint are spelled (JSON strings). Other integers are plain JSON
+/// numbers, which obs::JsonRecord::u64 reads back exactly at full width.
 std::string hex64(std::uint64_t value) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(value));
   return buf;
-}
-
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw std::runtime_error("journal " + path + ": " + what);
-}
-
-double require_number(const obs::analysis::JsonValue& obj,
-                      const std::string& key, const std::string& path) {
-  const auto* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) fail(path, "missing number \"" + key + "\"");
-  return v->number;
-}
-
-std::string require_string(const obs::analysis::JsonValue& obj,
-                           const std::string& key, const std::string& path) {
-  const auto* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) fail(path, "missing string \"" + key + "\"");
-  return v->string;
 }
 
 }  // namespace
@@ -86,85 +67,61 @@ std::string ShardRecord::to_json() const {
 Journal::Recovered Journal::load(const std::string& path,
                                  std::uint64_t expected_spec_digest) {
   Recovered out;
-  bool header_seen = false;
-  const auto parse = [&](std::string_view line, std::size_t line_no) {
-    obs::analysis::JsonValue doc;
-    try {
-      doc = obs::analysis::parse_json(std::string(line));
-    } catch (const std::exception&) {
-      return false;
-    }
-    if (!doc.is_object()) fail(path, "line " + std::to_string(line_no) +
-                                         " is not an object");
-    if (!header_seen) {
-      if (doc.string_or("journal") != kMagic)
-        fail(path, "missing or unknown header (expected \"" +
-                       std::string(kMagic) + "\")");
-      const std::string expect = hex64(expected_spec_digest);
-      if (expected_spec_digest != 0 &&
-          require_string(doc, "spec_digest", path) != expect)
-        fail(path, "spec digest mismatch: journal has " +
-                       doc.string_or("spec_digest") + ", campaign spec is " +
-                       expect +
-                       " (refusing to mix results of different grids)");
-      header_seen = true;
-      return true;
-    }
+  const auto parse = [&](const obs::JsonRecord& line) {
     ShardRecord rec;
-    rec.shard = static_cast<std::size_t>(require_number(doc, "shard", path));
-    rec.key = require_string(doc, "key", path);
-    rec.workload = require_string(doc, "workload", path);
-    rec.seed = static_cast<std::uint64_t>(require_number(doc, "seed", path));
-    rec.intensity = require_number(doc, "intensity", path);
-    rec.artifact_key =
-        static_cast<std::uint64_t>(require_number(doc, "artifact_key", path));
-    const auto* hit = doc.find("artifact_hit");
+    rec.shard = line.u64("shard");
+    rec.key = line.string("key");
+    rec.workload = line.string("workload");
+    rec.seed = line.u64("seed");
+    rec.intensity = line.number("intensity");
+    rec.artifact_key = line.u64("artifact_key");
+    const auto* hit = line.value.find("artifact_hit");
     rec.artifact_hit = hit != nullptr && hit->boolean;
-    if (const auto* fp = doc.find("controller_fp");
+    if (const auto* fp = line.value.find("controller_fp");
         fp != nullptr && fp->is_string())
       rec.controller_fingerprint = std::strtoull(fp->string.c_str(), nullptr, 16);
-    const auto* rows = doc.find("rows");
-    if (rows == nullptr || !rows->is_array())
-      fail(path, "line " + std::to_string(line_no) + ": missing rows array");
-    for (const auto& row : rows->array) {
+    const auto* rows = line.value.find("rows");
+    if (rows == nullptr || !rows->is_array()) line.fail("missing rows array");
+    for (const auto& row_value : rows->array) {
+      const obs::JsonRecord row{row_value, line.label, line.line_no};
       ShardRow r;
-      r.algo = require_string(row, "algo", path);
-      r.dmr = require_number(row, "dmr", path);
-      r.energy_utilization = require_number(row, "energy_utilization", path);
-      r.migration_efficiency = require_number(row, "migration_efficiency", path);
-      r.brownouts =
-          static_cast<std::uint64_t>(require_number(row, "brownouts", path));
-      r.solar_j = require_number(row, "solar_j", path);
-      r.served_j = require_number(row, "served_j", path);
-      r.loss_j = require_number(row, "loss_j", path);
-      r.power_failure_slots = static_cast<std::uint64_t>(
-          require_number(row, "power_failure_slots", path));
-      r.fallbacks =
-          static_cast<std::uint64_t>(require_number(row, "fallbacks", path));
+      r.algo = row.string("algo");
+      r.dmr = row.number("dmr");
+      r.energy_utilization = row.number("energy_utilization");
+      r.migration_efficiency = row.number("migration_efficiency");
+      r.brownouts = row.u64("brownouts");
+      r.solar_j = row.number("solar_j");
+      r.served_j = row.number("served_j");
+      r.loss_j = row.number("loss_j");
+      r.power_failure_slots = row.u64("power_failure_slots");
+      r.fallbacks = row.u64("fallbacks");
       rec.rows.push_back(std::move(r));
     }
     out.records.push_back(std::move(rec));
-    return true;
   };
   // A crash can only tear the *last* line (appends are sequential and
-  // fsync'd); util::replay_lines forgives exactly that one.
+  // fsync'd); replay_jsonl forgives exactly that one.
   out.dropped_partial =
-      util::replay_lines(util::read_file(path), "journal " + path, parse);
+      obs::replay_jsonl(util::read_file(path), "journal " + path, "journal",
+                        kMagic,
+                        expected_spec_digest != 0 ? hex64(expected_spec_digest)
+                                                  : "",
+                        parse)
+          .dropped_partial;
   std::sort(out.records.begin(), out.records.end(),
             [](const ShardRecord& a, const ShardRecord& b) {
               return a.shard < b.shard;
             });
   for (std::size_t i = 1; i < out.records.size(); ++i)
     if (out.records[i].shard == out.records[i - 1].shard)
-      fail(path, "duplicate record for shard " +
-                     std::to_string(out.records[i].shard));
+      throw std::runtime_error("journal " + path +
+                               ": duplicate record for shard " +
+                               std::to_string(out.records[i].shard));
   return out;
 }
 
 Journal::Journal(const std::string& path, std::uint64_t spec_digest)
-    : log_(path, "{\"journal\": \"" + std::string(kMagic) +
-                     "\", \"spec_digest\": \"" + hex64(spec_digest) +
-                     "\"}\n") {}
+    : log_(path, obs::jsonl_header("journal", kMagic, hex64(spec_digest))) {}
 
 void Journal::append(const ShardRecord& record) {
   log_.append(record.to_json() + "\n", /*sync=*/true);

@@ -8,10 +8,12 @@
 // about everything else: a header/spec mismatch or garbage in the middle of
 // the file is an error, not something to silently skip.
 //
-// Doubles are rendered with %.17g and re-read by the strict json_mini
-// parser, an exact round trip — so aggregates computed from re-loaded
-// records are bit-identical to aggregates computed from the in-memory
-// records that produced them. That equivalence is what makes
+// Doubles are rendered with %.17g and re-read by the strict obs/json
+// reader, an exact round trip; integers are read from their digits, never
+// through a double, and a sign, fraction or exponent on one is an error
+// naming the line. So aggregates computed from re-loaded records are
+// bit-identical to aggregates computed from the in-memory records that
+// produced them. That equivalence is what makes
 // "interrupted + resumed == uninterrupted" hold to the last bit.
 #pragma once
 

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <map>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "util/stats.hpp"
 
 namespace solsched::campaign {

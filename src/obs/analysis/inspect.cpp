@@ -14,14 +14,14 @@
 #include <vector>
 
 #include "obs/analysis/attribution.hpp"
-#include "obs/analysis/json_mini.hpp"
 #include "obs/analysis/ledger.hpp"
 #include "obs/analysis/profile.hpp"
 #include "obs/analysis/status_view.hpp"
-#include "obs/analysis/telemetry_view.hpp"
 #include "obs/analysis/timeline.hpp"
+#include "obs/json.hpp"
 #include "obs/sim_trace.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "util/durable.hpp"
 #include "util/table.hpp"
 
@@ -61,12 +61,11 @@ constexpr const char* kUsage =
     "                                   when --trace-id is absent from the\n"
     "                                   dumps\n"
     "\n"
-    "traces are JSONL (--trace-out/--events-out output); a path ending in\n"
-    ".csv is read as long-format CSV. exit codes: 0 ok, 1 check failed,\n"
-    "2 usage or I/O error. watch exits with the final snapshot's code:\n"
-    "campaign finished 0, failed 1; serve stopped 0; 2 when --once cannot\n"
-    "read the file; 3 when the snapshot is stale (its writer is gone), a\n"
-    "campaign stopped, or --once sees the writer still running.\n";
+    "traces are JSONL (--events-out output). exit codes: 0 ok, 1 check\n"
+    "failed, 2 usage or I/O error. watch exits with the final snapshot's\n"
+    "code: campaign finished 0, failed 1; serve stopped 0; 2 when --once\n"
+    "cannot read the file; 3 when the snapshot is stale (its writer is\n"
+    "gone), a campaign stopped, or --once sees the writer still running.\n";
 
 using util::read_file;
 
@@ -99,15 +98,8 @@ const std::string& flag_value(const std::vector<std::string>& args,
   return args[++i];
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::vector<SimEvent> load_trace(const std::string& path) {
-  const std::string body = read_file(path);
-  return ends_with(path, ".csv") ? SimTrace::parse_csv(body)
-                                 : SimTrace::parse_jsonl(body);
+  return SimTrace::parse_jsonl(read_file(path));
 }
 
 std::string fmt_j(double joules) { return util::fmt(joules, 4); }
@@ -287,7 +279,7 @@ int cmd_telemetry(const std::string& dir) {
   for (const auto& [type, count] : log.census())
     table.add_row({type, std::to_string(count)});
   std::printf("\n%s", table.str().c_str());
-  std::printf("%zu events, spec %s", log.lines.size(),
+  std::printf("%zu events, spec %s", log.events.size(),
               log.spec_digest.c_str());
   if (log.dropped_partial > 0)
     std::printf(", %zu crash-torn tail line(s) dropped", log.dropped_partial);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/durable.hpp"
 

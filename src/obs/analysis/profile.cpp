@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
@@ -39,9 +39,9 @@ SpanProfile profile_trace(const std::string& trace_json_text) {
     if (ev.string_or("ph") != "X") continue;
     RawEvent raw;
     raw.name = ev.string_or("name");
-    raw.ts = static_cast<std::uint64_t>(ev.number_or("ts"));
-    raw.dur = static_cast<std::uint64_t>(ev.number_or("dur"));
-    const auto tid = static_cast<std::uint64_t>(ev.number_or("tid"));
+    raw.ts = ev.u64_or("ts");
+    raw.dur = ev.u64_or("dur");
+    const std::uint64_t tid = ev.u64_or("tid");
     min_ts = std::min(min_ts, raw.ts);
     max_end = std::max(max_end, raw.ts + raw.dur);
     by_tid[tid].push_back(std::move(raw));

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 
 namespace solsched::obs::analysis {
 namespace {
@@ -13,16 +13,10 @@ namespace {
 constexpr const char* kCampaignMagic = "solsched-campaign-status-v1";
 constexpr const char* kServeMagic = "solsched-serve-v1";
 
-/// Member `key` as a count; 0 when absent, negative, NaN or beyond 2^64
-/// (converting such a double to an integer is undefined behaviour).
-std::uint64_t u64_of(const JsonValue& doc, const char* key) {
-  const double v = doc.number_or(key);
-  return v >= 0.0 && v < 18446744073709551616.0 ? static_cast<std::uint64_t>(v)
-                                                : 0;
-}
-
+/// Member `key` as a count; 0 when absent or not an unsigned integer (a
+/// sign, a fraction, an exponent, 2^64 or more).
 std::size_t size_of(const JsonValue& doc, const char* key) {
-  return static_cast<std::size_t>(u64_of(doc, key));
+  return static_cast<std::size_t>(doc.u64_or(key));
 }
 
 unsigned long long ull(std::uint64_t v) {
@@ -60,18 +54,18 @@ std::string progress_bar(std::size_t done, std::size_t total, bool plain,
 
 void parse_header(const JsonValue& doc, StatusHeader& out) {
   out.state = doc.string_or("state");
-  out.wall_ms = u64_of(doc, "wall_ms");
-  out.heartbeat_ms = u64_of(doc, "heartbeat_ms");
-  out.stall_ms = u64_of(doc, "stall_ms");
+  out.wall_ms = doc.u64_or("wall_ms");
+  out.heartbeat_ms = doc.u64_or("heartbeat_ms");
+  out.stall_ms = doc.u64_or("stall_ms");
 }
 
 CampaignStatus parse_campaign(const JsonValue& doc) {
   CampaignStatus out;
   parse_header(doc, out);
   out.spec_digest = doc.string_or("spec_digest");
-  out.elapsed_ms = u64_of(doc, "elapsed_ms");
+  out.elapsed_ms = doc.u64_or("elapsed_ms");
   out.threads = size_of(doc, "threads");
-  out.heartbeats = u64_of(doc, "heartbeats");
+  out.heartbeats = doc.u64_or("heartbeats");
   if (const JsonValue* shards = doc.find("shards"); shards != nullptr) {
     out.total = size_of(*shards, "total");
     out.done = size_of(*shards, "done");
@@ -106,44 +100,44 @@ CampaignStatus parse_campaign(const JsonValue& doc) {
 ServeStatus parse_serve(const JsonValue& doc) {
   ServeStatus out;
   parse_header(doc, out);
-  out.pid = u64_of(doc, "pid");
+  out.pid = doc.u64_or("pid");
   out.socket = doc.string_or("socket");
   out.controllers = size_of(doc, "controllers");
   out.workers = size_of(doc, "workers");
   out.queue_capacity = size_of(doc, "queue_capacity");
   out.queue_depth = size_of(doc, "queue_depth");
   out.queue_peak = size_of(doc, "queue_peak");
-  out.requests = u64_of(doc, "requests");
-  out.decisions = u64_of(doc, "decisions");
-  out.fallbacks = u64_of(doc, "fallbacks");
-  out.fallback_no_controller = u64_of(doc, "fallback_no_controller");
-  out.fallback_corrupt = u64_of(doc, "fallback_corrupt");
-  out.fallback_budget = u64_of(doc, "fallback_budget");
-  out.fallback_sched = u64_of(doc, "fallback_sched");
-  out.malformed = u64_of(doc, "malformed");
-  out.shed = u64_of(doc, "shed");
-  out.timeouts = u64_of(doc, "timeouts");
-  out.errors = u64_of(doc, "errors");
-  out.reloads = u64_of(doc, "reloads");
-  out.faults_injected = u64_of(doc, "faults_injected");
-  out.latency_count = u64_of(doc, "latency_count");
-  out.latency_sum_us = u64_of(doc, "latency_sum_us");
-  out.p50_us = u64_of(doc, "p50_us");
-  out.p99_us = u64_of(doc, "p99_us");
+  out.requests = doc.u64_or("requests");
+  out.decisions = doc.u64_or("decisions");
+  out.fallbacks = doc.u64_or("fallbacks");
+  out.fallback_no_controller = doc.u64_or("fallback_no_controller");
+  out.fallback_corrupt = doc.u64_or("fallback_corrupt");
+  out.fallback_budget = doc.u64_or("fallback_budget");
+  out.fallback_sched = doc.u64_or("fallback_sched");
+  out.malformed = doc.u64_or("malformed");
+  out.shed = doc.u64_or("shed");
+  out.timeouts = doc.u64_or("timeouts");
+  out.errors = doc.u64_or("errors");
+  out.reloads = doc.u64_or("reloads");
+  out.faults_injected = doc.u64_or("faults_injected");
+  out.latency_count = doc.u64_or("latency_count");
+  out.latency_sum_us = doc.u64_or("latency_sum_us");
+  out.p50_us = doc.u64_or("p50_us");
+  out.p99_us = doc.u64_or("p99_us");
   out.availability = doc.number_or("availability", 1.0);
   if (const JsonValue* slo = doc.find("slo"); slo && slo->is_object()) {
     out.has_slo = true;
     out.slo.target_availability = slo->number_or("target_availability");
-    out.slo.target_p99_us = u64_of(*slo, "target_p99_us");
-    out.slo.fast_window_s = u64_of(*slo, "fast_window_s");
-    out.slo.slow_window_s = u64_of(*slo, "slow_window_s");
+    out.slo.target_p99_us = slo->u64_or("target_p99_us");
+    out.slo.fast_window_s = slo->u64_or("fast_window_s");
+    out.slo.slow_window_s = slo->u64_or("slow_window_s");
     out.slo.burn_alert = slo->number_or("burn_alert");
     out.slo.availability_fast = slo->number_or("availability_fast", 1.0);
     out.slo.availability_slow = slo->number_or("availability_slow", 1.0);
     out.slo.burn_fast = slo->number_or("burn_fast");
     out.slo.burn_slow = slo->number_or("burn_slow");
-    out.slo.p99_fast_us = u64_of(*slo, "p99_fast_us");
-    out.slo.p99_slow_us = u64_of(*slo, "p99_slow_us");
+    out.slo.p99_fast_us = slo->u64_or("p99_fast_us");
+    out.slo.p99_slow_us = slo->u64_or("p99_slow_us");
     const auto bool_of = [&](const char* key) {
       const JsonValue* v = slo->find(key);
       return v != nullptr && v->kind == JsonValue::Kind::kBool && v->boolean;

@@ -4,9 +4,10 @@
 // (serve::Server) each rewrite a status.json on a fixed cadence and once
 // more when they reach a terminal state. This module is the one consumer:
 // `solsched-inspect watch` polls parse_status/render_status into a terminal
-// dashboard, `telemetry` and `slo` render one snapshot. Kept in obs/analysis
-// because it depends only on json_mini and must stay usable when the writer
-// is a corpse: the point is diagnosing a kill -9 from the file it left.
+// dashboard, `telemetry` and `slo` render one snapshot. It needs nothing of
+// the writers but the JSON reader (obs/json), so it stays usable when the
+// writer is a corpse: the point is diagnosing a kill -9 from the file it
+// left.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "util/durable.hpp"
 
@@ -54,10 +54,10 @@ Timeline load_timeline(const std::vector<std::string>& paths) {
       TimelineEvent out;
       out.name = ev.string_or("name");
       out.ph = ph[0];
-      out.ts_us = static_cast<std::uint64_t>(ev.number_or("ts"));
-      out.dur_us = static_cast<std::uint64_t>(ev.number_or("dur"));
+      out.ts_us = ev.u64_or("ts");
+      out.dur_us = ev.u64_or("dur");
       out.pid = file_index + 1;
-      out.tid = static_cast<std::size_t>(ev.number_or("tid"));
+      out.tid = static_cast<std::size_t>(ev.u64_or("tid"));
       out.source = path;
       if (ph[0] == 'X') {
         if (const JsonValue* args = ev.find("args");

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -26,13 +25,6 @@ std::atomic<bool>& enabled_flag() noexcept {
 std::size_t next_thread_ordinal() noexcept {
   static std::atomic<std::size_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Shortest round-trip decimal form of a double ("1", "0.125", "1e+30").
-std::string fmt_double(double x) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), x);
-  return ec == std::errc() ? std::string(buf, end) : std::string("0");
 }
 
 bool is_timing_name(const std::string& name) {
@@ -166,7 +158,7 @@ std::string MetricsSnapshot::to_json() const {
     out += i ? ",\n    \"" : "\n    \"";
     out += json_escape(gauges[i].first);
     out += "\": ";
-    out += fmt_double(gauges[i].second);
+    out += json_number(gauges[i].second);
   }
   out += gauges.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -177,7 +169,7 @@ std::string MetricsSnapshot::to_json() const {
     out += "\": {\"upper_bounds\": [";
     for (std::size_t b = 0; b < h.upper_bounds.size(); ++b) {
       if (b) out += ",";
-      out += fmt_double(h.upper_bounds[b]);
+      out += json_number(h.upper_bounds[b]);
     }
     out += "], \"bucket_counts\": [";
     for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
@@ -187,7 +179,7 @@ std::string MetricsSnapshot::to_json() const {
     out += "], \"count\": ";
     out += std::to_string(h.count);
     out += ", \"sum\": ";
-    out += fmt_double(h.sum);
+    out += json_number(h.sum);
     out += "}";
   }
   out += histograms.empty() ? "}\n}\n" : "\n  }\n}\n";

@@ -6,11 +6,10 @@
 // row, so traces stay deterministic even when rows execute concurrently on
 // the thread pool (no cross-row interleaving exists to begin with).
 //
-// Serialization is JSONL (one event per line, field order fixed by the
-// emitter, shortest round-trip double formatting — golden-file friendly)
-// or long-format CSV (type,day,period,field,value — plotting friendly).
-// parse_jsonl() reads back exactly what to_jsonl() writes, so downstream
-// consumers can be tested against the real format.
+// Serialization is JSONL: one event per line, field order fixed by the
+// emitter, shortest round-trip doubles (obs::json_number) — golden-file
+// friendly. parse_jsonl() reads it back through the one JSON reader
+// (obs/json.hpp), exactly: re-serializing the parse reproduces the bytes.
 //
 // Event vocabulary (emitted by nvp::simulate; DESIGN.md §10):
 //   period_energy  solar_in_j, load_served_j, stored_j, migrated_in_j,
@@ -69,21 +68,12 @@ class SimTrace {
 
   // -- serialization -------------------------------------------------------
   std::string to_jsonl() const;
-  /// Long-format CSV. Cells that contain a comma, quote, CR or LF are
-  /// RFC-4180 quoted (wrapped, inner quotes doubled); plain cells are
-  /// written bare, so traces with ordinary names serialize byte-identically
-  /// to the historical format. Events with no fields emit no rows.
-  std::string to_csv() const;
 
-  /// Parses to_jsonl() output (throws std::runtime_error on malformed
-  /// input). Round trip: serializing the result reproduces `text`.
+  /// Parses to_jsonl() output. Throws std::runtime_error naming the line
+  /// for one that is not an event object: "day" and "period" must be
+  /// unsigned integers below 2^32 and every other member but "type" a
+  /// number. Round trip: serializing the result reproduces `text`.
   static std::vector<SimEvent> parse_jsonl(const std::string& text);
-
-  /// Parses to_csv() output (throws std::runtime_error on malformed input).
-  /// Consecutive rows sharing (type, day, period) group back into one
-  /// event, so to_csv(parse_csv(text)) == text for any to_csv() output —
-  /// the same fixed-point contract the JSONL sink has.
-  static std::vector<SimEvent> parse_csv(const std::string& text);
 
  private:
   std::vector<SimEvent> events_;

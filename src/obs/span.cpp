@@ -5,7 +5,7 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::obs {

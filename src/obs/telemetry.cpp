@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/durable.hpp"
@@ -35,15 +35,38 @@ std::string TelemetryEvent::to_json() const {
   return out;
 }
 
+std::map<std::string, std::size_t> TelemetryLog::census() const {
+  std::map<std::string, std::size_t> out;
+  for (const TelemetryEvent& event : events) ++out[event.type];
+  return out;
+}
+
+TelemetryLog load_telemetry(const std::string& text) {
+  TelemetryLog out;
+  const JsonlReplay replay = replay_jsonl(
+      text, "telemetry.jsonl", "telemetry", kMagic, /*expected_digest=*/"",
+      [&](const JsonRecord& rec) {
+        TelemetryEvent event;
+        event.seq = rec.u64("seq");
+        event.wall_ms = rec.u64("ts_ms");
+        event.type = rec.string("type");
+        if (rec.value.find("shard") != nullptr) event.shard = rec.u64("shard");
+        event.workload = rec.value.string_or("workload");
+        event.detail = rec.value.string_or("detail");
+        out.events.push_back(std::move(event));
+      });
+  out.spec_digest = replay.spec_digest;
+  out.dropped_partial = replay.dropped_partial;
+  return out;
+}
+
 TelemetryBus::TelemetryBus(Options options)
     : options_(std::move(options)),
       // Opening heals a crash-torn tail exactly like the Journal: a kill
       // mid-write leaves a partial final line, and appending onto it would
       // glue the next event into mid-file garbage.
       log_(options_.dir + "/telemetry.jsonl",
-           "{\"telemetry\": \"" + std::string(kMagic) +
-               "\", \"spec_digest\": \"" + json_escape(options_.spec_digest) +
-               "\"}\n") {
+           jsonl_header("telemetry", kMagic, options_.spec_digest)) {
   start_us_ = now_us();
   start_wall_ms_ = wall_ms();
   {

@@ -16,7 +16,7 @@
 //  * status.json — a periodically rewritten (util::write_atomic, never torn)
 //    snapshot: shards done/total, per-workload ETA from observed shard
 //    durations, artifact-cache hit rate, throughput in shards/min, and the
-//    campaign state (running/stopped/finished/failed). `solsched-campaign
+//    campaign state (running/stopped/finished/failed). `solsched-inspect
 //    watch` renders it; its state field is the run's exit-code contract.
 //
 // The bus also owns the straggler watchdog: a background thread that wakes
@@ -66,6 +66,21 @@ struct TelemetryEvent {
   /// One JSON line (no trailing newline); empty optional fields omitted.
   std::string to_json() const;
 };
+
+/// A telemetry.jsonl stream read back (`solsched-inspect telemetry`).
+struct TelemetryLog {
+  std::string spec_digest;  ///< From the header line.
+  std::vector<TelemetryEvent> events;
+  std::size_t dropped_partial = 0;  ///< Crash-torn tail lines forgiven.
+  /// type -> count census over `events`.
+  std::map<std::string, std::size_t> census() const;
+};
+
+/// Reads telemetry.jsonl text through obs::replay_jsonl: a parse failure
+/// is forgiven only on the final line (crash-torn tail). A bad header, a
+/// malformed line before the last, or an event whose "seq", "ts_ms" or
+/// "shard" is not an unsigned integer throws std::runtime_error.
+TelemetryLog load_telemetry(const std::string& text);
 
 /// Streaming progress/heartbeat publisher for one campaign execution.
 /// Thread-safe: pool workers publish concurrently with the watchdog.

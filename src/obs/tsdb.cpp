@@ -1,131 +1,19 @@
 #include "obs/tsdb.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "util/durable.hpp"
 
 namespace solsched::obs {
 namespace {
-
-/// Shortest round-trip decimal form of a double ("1", "0.125", "1e+30").
-std::string fmt_double(double x) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), x);
-  return ec == std::errc() ? std::string(buf, end) : std::string("0");
-}
 
 /// Counter delta against the previous sample. A counter that went backwards
 /// (registry reset between samples) clamps to zero instead of wrapping into
 /// an astronomically large rate.
 std::uint64_t clamped_delta(std::uint64_t now, std::uint64_t before) {
   return now >= before ? now - before : 0;
-}
-
-// ---- JSONL line parser ----------------------------------------------------
-// The reader accepts exactly what write_jsonl emits:
-//   {"t":<u64>,"v":{"name":<number>,...}}
-// It is a strict scanner over that one shape, not a general JSON parser —
-// the general one lives in the analysis layer, which must stay above obs.
-
-struct LineCursor {
-  const char* p;
-  const char* end;
-
-  bool literal(const char* text) {
-    const std::size_t n = std::char_traits<char>::length(text);
-    if (static_cast<std::size_t>(end - p) < n ||
-        std::char_traits<char>::compare(p, text, n) != 0)
-      return false;
-    p += n;
-    return true;
-  }
-
-  bool u64(std::uint64_t* out) {
-    const auto [next, ec] = std::from_chars(p, end, *out);
-    if (ec != std::errc()) return false;
-    p = next;
-    return true;
-  }
-
-  bool number(double* out) {
-    // from_chars<double> is not universally available; strtod on a bounded
-    // copy keeps this portable. Numbers we wrote are < 32 chars.
-    char buf[64];
-    std::size_t n = 0;
-    while (p + n < end && n < sizeof(buf) - 1 &&
-           (std::isdigit(static_cast<unsigned char>(p[n])) || p[n] == '-' ||
-            p[n] == '+' || p[n] == '.' || p[n] == 'e' || p[n] == 'E'))
-      ++n;
-    if (n == 0) return false;
-    std::copy(p, p + n, buf);
-    buf[n] = '\0';
-    char* parse_end = nullptr;
-    *out = std::strtod(buf, &parse_end);
-    if (parse_end != buf + n || !std::isfinite(*out)) return false;
-    p += n;
-    return true;
-  }
-
-  bool string(std::string* out) {
-    if (p >= end || *p != '"') return false;
-    ++p;
-    out->clear();
-    while (p < end && *p != '"') {
-      if (*p != '\\') {
-        out->push_back(*p++);
-        continue;
-      }
-      // The escapes json_escape writes: \" \\ \n \r \t and \u00XX.
-      if (++p >= end) return false;
-      switch (*p++) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          unsigned code = 0;
-          const auto [next, ec] = std::from_chars(p, std::min(p + 4, end),
-                                                  code, 16);
-          if (ec != std::errc() || next != p + 4 || code >= 0x20)
-            return false;
-          out->push_back(static_cast<char>(code));
-          p = next;
-          break;
-        }
-        default: return false;
-      }
-    }
-    if (p >= end) return false;
-    ++p;  // Closing quote.
-    return true;
-  }
-};
-
-bool parse_point_line(std::string_view line, TimeseriesPoint* out) {
-  LineCursor cur{line.data(), line.data() + line.size()};
-  out->values.clear();
-  if (!cur.literal("{\"t\":") || !cur.u64(&out->wall_ms) ||
-      !cur.literal(",\"v\":{"))
-    return false;
-  bool first = true;
-  while (!cur.literal("}}")) {
-    if (!first && !cur.literal(",")) return false;
-    first = false;
-    std::string name;
-    double value = 0.0;
-    if (!cur.string(&name) || !cur.literal(":") || !cur.number(&value))
-      return false;
-    out->values.emplace_back(std::move(name), value);
-  }
-  return cur.p == cur.end;
 }
 
 }  // namespace
@@ -209,7 +97,7 @@ bool TimeseriesStore::write_jsonl(const std::string& path) const {
     for (std::size_t k = 0; k < point.values.size(); ++k) {
       if (k) text += ',';
       text += '"' + json_escape(point.values[k].first) + "\":";
-      text += fmt_double(point.values[k].second);
+      text += json_number(point.values[k].second);
     }
     text += "}}\n";
   }
@@ -226,14 +114,30 @@ bool TimeseriesStore::read_jsonl(const std::string& path,
                                  std::string* error) {
   out->clear();
   try {
-    util::replay_lines(util::read_file(path), path,
-                       [&](std::string_view line, std::size_t) {
-                         TimeseriesPoint point;
-                         if (!parse_point_line(line, &point)) return false;
-                         out->push_back(std::move(point));
-                         return true;
-                       });
-  } catch (const std::runtime_error& e) {  // IoError or ReplayError.
+    util::replay_lines(
+        util::read_file(path), path,
+        [&](std::string_view line, std::size_t line_no) {
+          JsonValue doc;
+          try {
+            doc = parse_json(line);
+          } catch (const std::runtime_error&) {
+            return false;  // Forgiven only as the torn final line.
+          }
+          const JsonRecord rec{doc, path, line_no};
+          TimeseriesPoint point;
+          point.wall_ms = rec.u64("t");
+          const JsonValue* values = doc.find("v");
+          if (values == nullptr || !values->is_object())
+            rec.fail("missing object \"v\"");
+          for (const auto& [name, value] : values->object) {
+            if (!value.is_number())
+              rec.fail("\"" + name + "\" is not a number");
+            point.values.emplace_back(name, value.number);
+          }
+          out->push_back(std::move(point));
+          return true;
+        });
+  } catch (const std::runtime_error& e) {  // IoError, ReplayError, a bad point.
     if (error) *error = e.what();
     return false;
   }

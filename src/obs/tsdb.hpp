@@ -62,9 +62,11 @@ class TimeseriesStore {
   /// False on I/O failure (the target file is left untouched, no .tmp).
   bool write_jsonl(const std::string& path) const;
 
-  /// Reads a write_jsonl() file. A torn final line is dropped, not an
-  /// error; any earlier malformed line is. On failure returns false with
-  /// *error set.
+  /// Reads a write_jsonl() file through the one JSON reader (obs/json).
+  /// A torn final line is dropped, not an error; any earlier malformed
+  /// line is, and so is a point whose "t" is not an unsigned integer or
+  /// whose values are not numbers. On failure returns false with *error
+  /// set.
   static bool read_jsonl(const std::string& path,
                          std::vector<TimeseriesPoint>* out,
                          std::string* error);

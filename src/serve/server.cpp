@@ -14,7 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json_escape.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/durable.hpp"

@@ -3,9 +3,24 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/json_escape.hpp"
-
 namespace solsched::util {
+namespace {
+
+/// RFC-4180 cell: quoted (inner quotes doubled) only when the cell contains
+/// a separator, quote or line break (\r or \n), so ordinary cells keep the
+/// bare spelling.
+std::string csv_cell(const std::string& s) {
+  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
+}  // namespace
 
 CsvWriter::CsvWriter(std::vector<std::string> header)
     : header_(std::move(header)) {}
@@ -30,7 +45,7 @@ std::string CsvWriter::str() const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) out << ',';
-      out << obs::csv_cell(row[c]);
+      out << csv_cell(row[c]);
     }
     out << '\n';
   };

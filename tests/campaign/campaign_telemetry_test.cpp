@@ -14,8 +14,8 @@
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "obs/analysis/status_view.hpp"
-#include "obs/analysis/telemetry_view.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace solsched::campaign {
@@ -118,8 +118,8 @@ TEST_F(CampaignTelemetry, FinishedRunSnapshotAccounting) {
   EXPECT_EQ(status.trainings, 1u);
   EXPECT_EQ(obs::analysis::status_exit_code(status), 0);
 
-  const obs::analysis::TelemetryLog log =
-      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  const obs::TelemetryLog log =
+      obs::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
   const auto census = log.census();
   EXPECT_EQ(census.at("shard.claimed"), 8u);
   EXPECT_EQ(census.at("sim.start"), 8u);
@@ -156,13 +156,13 @@ TEST_F(CampaignTelemetry, ColdRunPublishesShardEventsInOrderWithoutStall) {
   EXPECT_EQ(status.in_flight, 0u);
   EXPECT_EQ(status.stalled, 0u);
 
-  const obs::analysis::TelemetryLog log =
-      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  const obs::TelemetryLog log =
+      obs::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
   EXPECT_EQ(log.census().count("campaign.stall"), 0u);
   // Per shard, the events seen so far: 1 claimed, 2 sim.start, 3 done.
   std::map<std::uint64_t, int> stage;
-  for (const auto& line : log.lines) {
-    if (!line.has_shard) continue;
+  for (const auto& line : log.events) {
+    if (line.shard == obs::kTelemetryNoShard) continue;
     const int want = line.type == "shard.claimed" ? 1
                      : line.type == "sim.start"   ? 2
                      : line.type == "shard.done"  ? 3
@@ -228,8 +228,8 @@ TEST_F(CampaignTelemetry, KilledThenResumedReportsCorrectDoneTotal) {
 
   // The telemetry stream survived the stop/resume as one healed JSONL file:
   // claims/dones across both executions sum to 64 fresh shards.
-  const obs::analysis::TelemetryLog log =
-      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  const obs::TelemetryLog log =
+      obs::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
   const auto census = log.census();
   EXPECT_EQ(census.at("shard.done"), 64u);
   EXPECT_EQ(census.at("campaign.start"), 2u);
@@ -259,13 +259,13 @@ TEST_F(CampaignTelemetry, WatchdogDrillDetectsHungShard) {
   const obs::analysis::CampaignStatus status = status_of(config.dir);
   EXPECT_EQ(status.state, "finished");
   EXPECT_GE(status.stalled, 1u);
-  const obs::analysis::TelemetryLog log =
-      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  const obs::TelemetryLog log =
+      obs::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
   const auto census = log.census();
   ASSERT_TRUE(census.count("campaign.stall"));
   bool hung_shard_flagged = false;
-  for (const auto& line : log.lines)
-    if (line.type == "campaign.stall" && line.has_shard && line.shard == 0)
+  for (const auto& line : log.events)
+    if (line.type == "campaign.stall" && line.shard == 0)
       hung_shard_flagged = true;
   EXPECT_TRUE(hung_shard_flagged);
   EXPECT_GE(obs::MetricsRegistry::global().snapshot().counter_or(
@@ -284,8 +284,8 @@ TEST_F(CampaignTelemetry, ResumeHealsTornTelemetryTail) {
       << "{\"seq\": 999, \"type\": \"shard.don";
   config.stop_after = 0;
   ASSERT_TRUE(run_campaign(config).finished);
-  const obs::analysis::TelemetryLog log =
-      obs::analysis::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
+  const obs::TelemetryLog log =
+      obs::load_telemetry(slurp(config.dir + "/telemetry.jsonl"));
   EXPECT_EQ(log.dropped_partial, 0u);  // Healed at reopen, not at read.
   EXPECT_EQ(log.census().at("campaign.finish"), 1u);
 }

@@ -44,16 +44,39 @@ std::string fresh_path(const char* name) {
   return path;
 }
 
+/// What Journal::load throws for `path`; "" when it loads.
+std::string load_error(const std::string& path, std::uint64_t spec_digest) {
+  try {
+    Journal::load(path, spec_digest);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Journal, AppendLoadRoundTripIsExact) {
   const std::string path = fresh_path("journal_roundtrip.jsonl");
   {
     Journal journal(path, 0x1234);
     journal.append(sample_record(0));
     journal.append(sample_record(1));
+    // Full-width artifact keys are plain JSON numbers: they must come back
+    // from their digits, not through a double (which would round
+    // 18008753236730021613 to ...1888).
+    ShardRecord widest = sample_record(2);
+    widest.artifact_key = ~0ULL;
+    journal.append(widest);
+    ShardRecord fnv = sample_record(3);
+    fnv.artifact_key = 18008753236730021613ULL;
+    fnv.seed = ~0ULL;
+    journal.append(fnv);
   }
   const Journal::Recovered rec = Journal::load(path, 0x1234);
   EXPECT_EQ(rec.dropped_partial, 0u);
-  ASSERT_EQ(rec.records.size(), 2u);
+  ASSERT_EQ(rec.records.size(), 4u);
+  EXPECT_EQ(rec.records[2].artifact_key, ~0ULL);
+  EXPECT_EQ(rec.records[3].artifact_key, 18008753236730021613ULL);
+  EXPECT_EQ(rec.records[3].seed, ~0ULL);
   const ShardRecord& a = rec.records[0];
   const ShardRecord expect = sample_record(0);
   EXPECT_EQ(a.key, expect.key);
@@ -77,8 +100,14 @@ TEST(Journal, ReopenAppendsWithoutSecondHeader) {
   std::ifstream file(path);
   std::string line;
   std::size_t headers = 0;
-  while (std::getline(file, line))
+  ASSERT_TRUE(std::getline(file, line));
+  // The envelope's exact bytes: kind, magic and the 16-digit hex digest.
+  EXPECT_EQ(line,
+            "{\"journal\": \"solsched-campaign-journal-v1\", "
+            "\"spec_digest\": \"0000000000000007\"}");
+  do {
     if (line.find("spec_digest") != std::string::npos) ++headers;
+  } while (std::getline(file, line));
   EXPECT_EQ(headers, 1u);
 }
 
@@ -112,9 +141,53 @@ TEST(Journal, GarbageMidFileIsFatal) {
 TEST(Journal, SpecDigestMismatchIsFatal) {
   const std::string path = fresh_path("journal_digest.jsonl");
   { Journal(path, 1).append(sample_record(0)); }
-  EXPECT_THROW(Journal::load(path, 2), std::runtime_error);
+  EXPECT_NE(load_error(path, 2).find(
+                "spec digest mismatch: journal has 0000000000000001, "
+                "campaign spec is 0000000000000002"),
+            std::string::npos)
+      << load_error(path, 2);
   EXPECT_EQ(Journal::load(path, 0).records.size(), 1u);  // 0 skips the check.
   EXPECT_EQ(load_journal_records(path).size(), 1u);
+}
+
+TEST(Journal, UnknownHeaderIsFatal) {
+  const std::string path = fresh_path("journal_header.jsonl");
+  std::ofstream(path) << "{\"telemetry\": \"solsched-campaign-journal-v1\"}\n";
+  EXPECT_NE(load_error(path, 0).find(
+                "missing or unknown header (expected "
+                "\"solsched-campaign-journal-v1\")"),
+            std::string::npos)
+      << load_error(path, 0);
+}
+
+// An integer field that is not plain digits below 2^64 is an error naming
+// the line, never a wrapped or truncated value.
+TEST(Journal, NonIntegerCountsAreFatal) {
+  const std::string good = sample_record(0).to_json();
+  const std::string shard0 = "{\"shard\": 0,";
+  ASSERT_EQ(good.rfind(shard0, 0), 0u);
+  for (const char* bad : {"-1", "1e300", "0.5", "18446744073709551616"}) {
+    SCOPED_TRACE(bad);
+    const std::string path = fresh_path("journal_bad_int.jsonl");
+    { Journal(path, 9).append(sample_record(1)); }
+    std::ofstream(path, std::ios::app)
+        << "{\"shard\": " << bad << good.substr(shard0.size() - 1) << "\n";
+    EXPECT_NE(load_error(path, 9).find(
+                  "line 3: \"shard\" is not an unsigned integer"),
+              std::string::npos)
+        << load_error(path, 9);
+  }
+  const std::string path = fresh_path("journal_bad_row.jsonl");
+  std::string row_bad = good;
+  const std::string brownouts = "\"brownouts\": 3";
+  row_bad.replace(row_bad.find(brownouts), brownouts.size(),
+                  "\"brownouts\": -3");
+  { Journal(path, 9); }
+  std::ofstream(path, std::ios::app) << row_bad << "\n";
+  EXPECT_NE(load_error(path, 9).find(
+                "line 2: \"brownouts\" is not an unsigned integer"),
+            std::string::npos)
+      << load_error(path, 9);
 }
 
 TEST(Journal, DuplicateShardIsFatal) {

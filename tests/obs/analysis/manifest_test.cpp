@@ -11,7 +11,7 @@
 #include <stdexcept>
 
 #include "../../test_helpers.hpp"
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace solsched::obs::analysis {

@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 
 namespace solsched::obs {
 namespace {
@@ -189,8 +189,8 @@ TEST_F(MetricsTest, SnapshotJsonShape) {
   EXPECT_NE(json.find("\"x.count\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"x.gauge\": 1.5"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  const analysis::JsonValue doc = analysis::parse_json(json);
-  const analysis::JsonValue* counters = doc.find("counters");
+  const JsonValue doc = parse_json(json);
+  const JsonValue* counters = doc.find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->number_or(nasty), 2.0);
 }

@@ -1,5 +1,6 @@
-// SimTrace: event recording, aggregation helpers, JSONL/CSV serialization,
-// and the golden format contract for a tiny seeded simulation.
+// SimTrace: event recording, aggregation helpers, JSONL serialization and
+// its strict reader, and the golden format contract for a tiny seeded
+// simulation.
 #include "obs/sim_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -50,16 +51,6 @@ TEST(SimTraceTest, GoldenJsonlLine) {
             "\"misses\":1,\"dmr\":0.125}\n");
 }
 
-TEST(SimTraceTest, GoldenCsv) {
-  SimTrace trace;
-  trace.emit(make_event("migration", 1, 2,
-                        {{"migrated_in_j", 3.5}, {"cap_supplied_j", 2.0}}));
-  EXPECT_EQ(trace.to_csv(),
-            "type,day,period,field,value\n"
-            "migration,1,2,migrated_in_j,3.5\n"
-            "migration,1,2,cap_supplied_j,2\n");
-}
-
 TEST(SimTraceTest, ParseRoundTrip) {
   SimTrace trace;
   trace.emit(make_event("period_energy", 0, 0,
@@ -80,89 +71,54 @@ TEST(SimTraceTest, ParseRoundTrip) {
   EXPECT_EQ(again.to_jsonl(), jsonl);
 }
 
-// Cells containing the CSV metacharacters are RFC-4180 quoted; everything
-// else keeps the historical bare encoding (GoldenCsv above is byte-exact).
-TEST(SimTraceTest, CsvEscapesCommasAndQuotes) {
-  SimTrace trace;
-  trace.emit(make_event("weird,type", 0, 1, {{"field\"quoted\"", 1.5}}));
-  trace.emit(make_event("line\nbreak", 0, 2, {{"plain", 2.0}}));
-  EXPECT_EQ(trace.to_csv(),
-            "type,day,period,field,value\n"
-            "\"weird,type\",0,1,\"field\"\"quoted\"\"\",1.5\n"
-            "\"line\nbreak\",0,2,plain,2\n");
-}
-
-// CSV round trip mirrors the JSONL fixed-point contract: parse_csv then
-// to_csv reproduces the bytes exactly, including quoted cells.
-TEST(SimTraceTest, CsvParseRoundTripExact) {
-  SimTrace trace;
-  trace.emit(make_event("period_energy", 0, 0,
-                        {{"solar_in_j", 12.75}, {"spilled_j", 0.0}}));
-  trace.emit(make_event("evil,\"type\"", 3, 7,
-                        {{"a,b", 1.0}, {"c\"d", -2.25}, {"plain", 0.5}}));
-  trace.emit(make_event("period_energy", 3, 8, {{"solar_in_j", 1e-9}}));
-  const std::string csv = trace.to_csv();
-
-  const std::vector<SimEvent> parsed = SimTrace::parse_csv(csv);
-  ASSERT_EQ(parsed.size(), 3u);
-  EXPECT_EQ(parsed[1].type, "evil,\"type\"");
-  EXPECT_EQ(parsed[1].fields[0].first, "a,b");
-  EXPECT_EQ(parsed[1].fields[1].first, "c\"d");
-  EXPECT_DOUBLE_EQ(parsed[1].field_or("c\"d"), -2.25);
-
-  SimTrace again;
-  for (const SimEvent& e : parsed) again.emit(e);
-  EXPECT_EQ(again.to_csv(), csv);
-}
-
-// The CSV and JSONL sinks describe the same events: parsing either side of
-// a serialized trace yields identical event streams (fieldless events are
-// unrepresentable in long-format CSV and are excluded by construction).
-TEST(SimTraceTest, CsvMatchesJsonlEventForEvent) {
-  const auto grid = test::tiny_grid();
-  const auto trace =
-      test::scaled_generator(grid).generate_days(1, grid,
-                                                 solar::DayKind::kClear);
-  SimTrace events;
-  sched::AsapScheduler policy;
-  nvp::simulate(test::chain2(), trace, policy, test::small_node(grid),
-                &events);
-
-  const std::vector<SimEvent> from_jsonl =
-      SimTrace::parse_jsonl(events.to_jsonl());
-  const std::vector<SimEvent> from_csv = SimTrace::parse_csv(events.to_csv());
-  ASSERT_EQ(from_jsonl.size(), from_csv.size());
-  for (std::size_t i = 0; i < from_jsonl.size(); ++i) {
-    EXPECT_EQ(from_jsonl[i].type, from_csv[i].type);
-    EXPECT_EQ(from_jsonl[i].day, from_csv[i].day);
-    EXPECT_EQ(from_jsonl[i].period, from_csv[i].period);
-    ASSERT_EQ(from_jsonl[i].fields.size(), from_csv[i].fields.size());
-    for (std::size_t k = 0; k < from_jsonl[i].fields.size(); ++k) {
-      EXPECT_EQ(from_jsonl[i].fields[k].first, from_csv[i].fields[k].first);
-      EXPECT_EQ(from_jsonl[i].fields[k].second, from_csv[i].fields[k].second);
-    }
-  }
-}
-
-TEST(SimTraceTest, CsvParseRejectsMalformed) {
-  EXPECT_THROW(SimTrace::parse_csv("no header\n"), std::runtime_error);
-  EXPECT_THROW(
-      SimTrace::parse_csv("type,day,period,field,value\nx,1,2,f\n"),
-      std::runtime_error);
-  EXPECT_THROW(
-      SimTrace::parse_csv("type,day,period,field,value\nx,nope,2,f,1\n"),
-      std::runtime_error);
-  EXPECT_THROW(
-      SimTrace::parse_csv("type,day,period,field,value\n\"x,1,2,f,1\n"),
-      std::runtime_error);
-}
-
 TEST(SimTraceTest, ParseRejectsMalformed) {
   EXPECT_THROW(SimTrace::parse_jsonl("not json\n"), std::runtime_error);
   EXPECT_THROW(SimTrace::parse_jsonl("{\"type\":\"x\",\"day\":}\n"),
                std::runtime_error);
   EXPECT_THROW(SimTrace::parse_jsonl("{\"type\":\"x\" \"day\":1}\n"),
                std::runtime_error);
+}
+
+// Names are JSON-escaped on the way out and decoded on the way in, so any
+// type or field name survives the round trip byte for byte.
+TEST(SimTraceTest, JsonlEscapesAndReadsBackAnyName) {
+  SimTrace trace;
+  trace.emit(make_event("weird,\"type\"", 0, 1, {{"back\\slash", 1.5}}));
+  trace.emit(make_event("line\nbreak", 0, 2, {{"tab\t", 2.0}}));
+  const std::string jsonl = trace.to_jsonl();
+  EXPECT_EQ(jsonl,
+            "{\"type\":\"weird,\\\"type\\\"\",\"day\":0,\"period\":1,"
+            "\"back\\\\slash\":1.5}\n"
+            "{\"type\":\"line\\nbreak\",\"day\":0,\"period\":2,"
+            "\"tab\\t\":2}\n");
+  const std::vector<SimEvent> parsed = SimTrace::parse_jsonl(jsonl);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].type, "weird,\"type\"");
+  EXPECT_EQ(parsed[0].fields[0].first, "back\\slash");
+  EXPECT_EQ(parsed[1].type, "line\nbreak");
+  SimTrace again;
+  for (const SimEvent& e : parsed) again.emit(e);
+  EXPECT_EQ(again.to_jsonl(), jsonl);
+}
+
+// day and period are read from their digits: a sign, a fraction, an
+// exponent or a value of 2^32 or more is an error naming the line.
+TEST(SimTraceTest, ParseRejectsBadIndicesNamingTheLine) {
+  const std::string good = "{\"type\":\"x\",\"day\":0,\"period\":1}\n";
+  EXPECT_EQ(SimTrace::parse_jsonl(good + good).size(), 2u);
+  for (const char* bad : {"-1", "1.5", "1e3", "4294967296", "1e300", "\"3\""}) {
+    SCOPED_TRACE(bad);
+    try {
+      SimTrace::parse_jsonl(good + "{\"type\":\"x\",\"day\":" + bad + "}\n");
+      ADD_FAILURE() << "a bad day parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: \"day\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(SimTrace::parse_jsonl("{\"day\":4294967295}\n")[0].day,
+            4294967295u);
 }
 
 TEST(SimTraceTest, ClearEmptiesTrace) {

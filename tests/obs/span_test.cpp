@@ -11,7 +11,7 @@
 #include <string>
 
 #include "../test_helpers.hpp"
-#include "obs/analysis/json_mini.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -134,16 +134,16 @@ TEST_F(SpanTest, ChromeTraceIsValidJson) {
   const std::string path =
       ::testing::TempDir() + "span_test.valid.trace.json";
   ASSERT_TRUE(write_chrome_trace(path));
-  const analysis::JsonValue doc = analysis::parse_json(slurp(path));
+  const JsonValue doc = parse_json(slurp(path));
   std::remove(path.c_str());
 
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.string_or("displayTimeUnit"), "ms");
-  const analysis::JsonValue* events = doc.find("traceEvents");
+  const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
   ASSERT_EQ(events->array.size(), 1u);
-  const analysis::JsonValue& ev = events->array[0];
+  const JsonValue& ev = events->array[0];
   EXPECT_EQ(ev.string_or("name"), "test.span.valid_json");
   EXPECT_EQ(ev.string_or("ph"), "X");
   EXPECT_DOUBLE_EQ(ev.number_or("pid"), 1.0);
@@ -162,10 +162,10 @@ TEST_F(SpanTest, ChromeTraceEscapesSpanNames) {
   const std::string path =
       ::testing::TempDir() + "span_test.escape.trace.json";
   ASSERT_TRUE(write_chrome_trace(path));
-  const analysis::JsonValue doc = analysis::parse_json(slurp(path));
+  const JsonValue doc = parse_json(slurp(path));
   std::remove(path.c_str());
 
-  const analysis::JsonValue* events = doc.find("traceEvents");
+  const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->array.size(), 1u);
   EXPECT_EQ(events->array[0].string_or("name"), nasty);
@@ -210,13 +210,13 @@ TEST_F(SpanTest, ChromeTraceConcurrentSpansSameMultiset) {
     const std::string path = ::testing::TempDir() + "span_test.mt." +
                              std::to_string(threads) + ".trace.json";
     EXPECT_TRUE(write_chrome_trace(path));
-    const analysis::JsonValue doc = analysis::parse_json(slurp(path));
+    const JsonValue doc = parse_json(slurp(path));
     std::remove(path.c_str());
     std::map<std::string, std::size_t> census;
-    const analysis::JsonValue* events = doc.find("traceEvents");
+    const JsonValue* events = doc.find("traceEvents");
     EXPECT_NE(events, nullptr);
     if (events != nullptr)
-      for (const analysis::JsonValue& ev : events->array)
+      for (const JsonValue& ev : events->array)
         ++census[ev.string_or("name")];
     return census;
   };

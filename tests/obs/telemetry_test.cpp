@@ -1,5 +1,7 @@
 // TelemetryBus unit tests: event stream shape, status snapshots, rolling
-// counters, crash-torn tail heal, and the straggler watchdog.
+// counters, crash-torn tail heal, and the straggler watchdog; then the
+// reader beside it, load_telemetry: its torn-tail forgiveness, its census
+// and the zero-length files a crash leaves behind.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -8,11 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "obs/analysis/status_view.hpp"
-#include "obs/analysis/telemetry_view.hpp"
 #include "obs/metrics.hpp"
 
 namespace solsched::obs {
@@ -83,8 +85,12 @@ TEST_F(TelemetryBusTest, PublishesLifecycleEventsAndCounters) {
     EXPECT_EQ(snap.artifact_hits, 1u);
     EXPECT_EQ(snap.trainings, 1u);
   }
-  const analysis::TelemetryLog log =
-      analysis::load_telemetry(slurp(dir + "/telemetry.jsonl"));
+  const std::string text = slurp(dir + "/telemetry.jsonl");
+  // The envelope's exact bytes: kind, magic and the spec digest.
+  EXPECT_EQ(text.substr(0, text.find('\n')),
+            "{\"telemetry\": \"solsched-campaign-telemetry-v1\", "
+            "\"spec_digest\": \"00000000deadbeef\"}");
+  const TelemetryLog log = load_telemetry(text);
   EXPECT_EQ(log.spec_digest, "00000000deadbeef");
   EXPECT_EQ(log.dropped_partial, 0u);
   const auto census = log.census();
@@ -96,8 +102,8 @@ TEST_F(TelemetryBusTest, PublishesLifecycleEventsAndCounters) {
   EXPECT_EQ(census.at("shard.failed"), 1u);
   EXPECT_EQ(census.at("campaign.stop"), 1u);
   // Sequence numbers are gap-free in publish order.
-  for (std::size_t i = 0; i < log.lines.size(); ++i)
-    EXPECT_EQ(log.lines[i].seq, i);
+  for (std::size_t i = 0; i < log.events.size(); ++i)
+    EXPECT_EQ(log.events[i].seq, i);
 }
 
 TEST_F(TelemetryBusTest, StatusJsonTracksProgressAndState) {
@@ -140,7 +146,7 @@ TEST_F(TelemetryBusTest, DestructionWithoutFinishRecordsFailed) {
   EXPECT_EQ(status.state, "failed");
   EXPECT_EQ(analysis::status_exit_code(status), 1);
   const auto census =
-      analysis::load_telemetry(slurp(dir + "/telemetry.jsonl")).census();
+      load_telemetry(slurp(dir + "/telemetry.jsonl")).census();
   EXPECT_EQ(census.at("campaign.failed"), 1u);
 }
 
@@ -159,8 +165,7 @@ TEST_F(TelemetryBusTest, ReopenHealsCrashTornTail) {
     bus.campaign_start(2, {{"ecg", 2}}, {{"ecg", 2}});
     bus.campaign_finish(true);
   }
-  const analysis::TelemetryLog log =
-      analysis::load_telemetry(slurp(dir + "/telemetry.jsonl"));
+  const TelemetryLog log = load_telemetry(slurp(dir + "/telemetry.jsonl"));
   EXPECT_EQ(log.dropped_partial, 0u);  // The torn tail was truncated away.
   EXPECT_EQ(log.census().at("campaign.start"), 2u);
   EXPECT_EQ(log.census().at("campaign.finish"), 2u);
@@ -186,13 +191,12 @@ TEST_F(TelemetryBusTest, WatchdogFlagsStalledShard) {
   EXPECT_EQ(bus.snapshot().stalled, 1u);
   bus.campaign_finish(false);
 
-  const analysis::TelemetryLog log =
-      analysis::load_telemetry(slurp(dir + "/telemetry.jsonl"));
+  const TelemetryLog log = load_telemetry(slurp(dir + "/telemetry.jsonl"));
   const auto census = log.census();
   EXPECT_EQ(census.at("campaign.stall"), 1u);
   EXPECT_EQ(census.at("heartbeat"), 3u);
   bool digest_seen = false;
-  for (const auto& line : log.lines)
+  for (const auto& line : log.events)
     if (line.type == "campaign.stall") {
       EXPECT_EQ(line.shard, 0u);
       digest_seen = line.detail.find("feedfacefeedface") != std::string::npos;
@@ -234,6 +238,132 @@ TEST_F(TelemetryBusTest, EventJsonOmitsEmptyFields) {
             "{\"seq\": 7, \"ts_ms\": 123, \"type\": \"heartbeat\", "
             "\"shard\": 3, \"workload\": \"ecg\", "
             "\"detail\": \"a \\\"quoted\\\" detail\"}");
+}
+
+// ---- the reader: load_telemetry ------------------------------------------
+
+const char* kTelemetryHeader =
+    "{\"telemetry\": \"solsched-campaign-telemetry-v1\", "
+    "\"spec_digest\": \"00000000deadbeef\"}\n";
+
+// Degenerate files a crash (or a watcher racing the first write) leaves
+// behind: zero-length and header-only.
+TEST(TelemetryView, ZeroLengthFilesAreRefusedOrEmpty) {
+  // A zero-length status.json cannot carry the magic: the reader must
+  // refuse it, not render a zeroed dashboard.
+  EXPECT_THROW(analysis::parse_status(""), std::runtime_error);
+  EXPECT_THROW(analysis::parse_status("{}"), std::runtime_error);
+  // A zero-length telemetry.jsonl is a valid (empty) log: the bus opens
+  // the file before its first fsync'd header write.
+  const TelemetryLog empty = load_telemetry("");
+  EXPECT_TRUE(empty.events.empty());
+  EXPECT_TRUE(empty.spec_digest.empty());
+  EXPECT_EQ(empty.dropped_partial, 0u);
+}
+
+TEST(TelemetryView, HeaderOnlyTelemetryIsAnEmptyLog) {
+  const TelemetryLog log = load_telemetry(kTelemetryHeader);
+  EXPECT_TRUE(log.events.empty());
+  EXPECT_EQ(log.spec_digest, "00000000deadbeef");
+  EXPECT_EQ(log.dropped_partial, 0u);
+  EXPECT_TRUE(log.census().empty());
+}
+
+TEST(TelemetryView, LoadTelemetryParsesLinesAndCensus) {
+  const std::string text =
+      std::string(kTelemetryHeader) +
+      "{\"seq\": 0, \"ts_ms\": 5, \"type\": \"campaign.start\", "
+      "\"detail\": \"8 shards, 0 resumed\"}\n"
+      "{\"seq\": 1, \"ts_ms\": 6, \"type\": \"shard.claimed\", \"shard\": 3, "
+      "\"workload\": \"ecg\", \"detail\": \"cafe0000cafe0000\"}\n"
+      "{\"seq\": 2, \"ts_ms\": 7, \"type\": \"shard.done\", \"shard\": 3, "
+      "\"workload\": \"ecg\"}\n";
+  const TelemetryLog log = load_telemetry(text);
+  EXPECT_EQ(log.spec_digest, "00000000deadbeef");
+  EXPECT_EQ(log.dropped_partial, 0u);
+  ASSERT_EQ(log.events.size(), 3u);
+  EXPECT_EQ(log.events[0].type, "campaign.start");
+  EXPECT_EQ(log.events[0].wall_ms, 5u);
+  EXPECT_EQ(log.events[0].shard, kTelemetryNoShard);
+  EXPECT_EQ(log.events[1].shard, 3u);
+  EXPECT_EQ(log.events[1].workload, "ecg");
+  EXPECT_EQ(log.events[1].detail, "cafe0000cafe0000");
+  const auto census = log.census();
+  EXPECT_EQ(census.at("shard.claimed"), 1u);
+  EXPECT_EQ(census.at("shard.done"), 1u);
+}
+
+// Only the final line may be torn (appends are sequential and fsync'd);
+// mid-file garbage means corruption, not a crash, and must throw.
+TEST(TelemetryView, LoadTelemetryForgivesOnlyTornTail) {
+  const std::string good =
+      std::string(kTelemetryHeader) +
+      "{\"seq\": 0, \"ts_ms\": 5, \"type\": \"campaign.start\"}\n";
+  const TelemetryLog torn =
+      load_telemetry(good + "{\"seq\": 1, \"type\": \"shard.cl");
+  EXPECT_EQ(torn.dropped_partial, 1u);
+  EXPECT_EQ(torn.events.size(), 1u);
+
+  EXPECT_THROW(
+      load_telemetry(good + "garbage\n{\"seq\": 1, \"ts_ms\": 6, "
+                            "\"type\": \"heartbeat\"}\n"),
+      std::runtime_error);
+  EXPECT_THROW(load_telemetry(good + "garbage\ngarbage\n"),
+               std::runtime_error);
+}
+
+TEST(TelemetryView, LoadTelemetryTornHeaderAndBadHeader) {
+  // A crash can even cut the header short: everything so far is forgiven.
+  const TelemetryLog torn = load_telemetry("{\"telemetry\": \"solsch");
+  EXPECT_EQ(torn.dropped_partial, 1u);
+  EXPECT_TRUE(torn.events.empty());
+  EXPECT_TRUE(load_telemetry("").events.empty());
+  // A *valid* first line with the wrong magic is not a telemetry stream.
+  try {
+    load_telemetry("{\"telemetry\": \"other\"}\n");
+    ADD_FAILURE() << "a foreign header loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "missing or unknown header (expected "
+                  "\"solsched-campaign-telemetry-v1\")"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Integers are read from their digits: a full-width shard id survives, and
+// a sign, a fraction, an exponent or 2^64 is an error naming the line, not
+// a wrapped or truncated value.
+TEST(TelemetryView, IntegersAreExactAndBadOnesNameTheLine) {
+  TelemetryEvent wide;
+  wide.seq = 1;
+  wide.wall_ms = 18008753236730021613ULL;
+  wide.type = "shard.done";
+  wide.shard = kTelemetryNoShard - 1;
+  const TelemetryLog log =
+      load_telemetry(kTelemetryHeader + wide.to_json() + "\n");
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events[0].wall_ms, wide.wall_ms);
+  EXPECT_EQ(log.events[0].shard, wide.shard);
+
+  for (const char* bad : {"\"shard\": -1", "\"shard\": 1e300",
+                          "\"shard\": 2.5", "\"shard\": 18446744073709551616",
+                          "\"shard\": \"3\""}) {
+    SCOPED_TRACE(bad);
+    const std::string text =
+        std::string(kTelemetryHeader) +
+        "{\"seq\": 0, \"ts_ms\": 5, \"type\": \"shard.done\", " + bad +
+        "}\n";
+    try {
+      load_telemetry(text);
+      ADD_FAILURE() << "a bad shard loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "line 2: \"shard\" is not an unsigned integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

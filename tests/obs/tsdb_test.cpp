@@ -1,7 +1,7 @@
 // TimeseriesStore: counter-delta semantics, ring wraparound, the
 // util::write_atomic JSONL round trip, and the torn-tail heal contract
-// shared with telemetry_view (one torn final line forgiven, earlier
-// corruption is an error).
+// shared with the journal and telemetry readers (one torn final line
+// forgiven, earlier corruption is an error).
 #include "obs/tsdb.hpp"
 
 #include <gtest/gtest.h>
@@ -139,6 +139,20 @@ TEST(TimeseriesStore, TornFinalLineHealsButEarlierCorruptionIsAnError) {
   }
   EXPECT_FALSE(TimeseriesStore::read_jsonl(path, &points, &error));
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // A point that parses but whose stamp is not plain digits below 2^64, or
+  // whose value is not a finite number, is an error naming its line.
+  for (const char* bad : {"{\"t\":-1,\"v\":{}}", "{\"t\":1e3,\"v\":{}}",
+                          "{\"t\":18446744073709551616,\"v\":{}}",
+                          "{\"t\":1,\"v\":{\"a\":\"x\"}}", "{\"t\":1}"}) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path, std::ios::trunc | std::ios::binary);
+      out << "{\"t\":1000,\"v\":{\"a\":1}}\n" << bad << "\n";
+    }
+    EXPECT_FALSE(TimeseriesStore::read_jsonl(path, &points, &error));
+    EXPECT_NE(error.find("line 2: "), std::string::npos) << error;
+  }
 
   EXPECT_FALSE(
       TimeseriesStore::read_jsonl(tmp_path("absent.jsonl"), &points, &error));

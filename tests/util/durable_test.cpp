@@ -19,7 +19,6 @@
 
 #include "../test_helpers.hpp"
 #include "campaign/journal.hpp"
-#include "obs/analysis/telemetry_view.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/tsdb.hpp"
 
@@ -318,8 +317,8 @@ TEST(TornAtEveryByte, TelemetryLoadsAPrefixAndReopenedLogAppendsCleanly) {
   }
   const std::string whole = slurp(path);
   const std::string header = whole.substr(0, whole.find('\n') + 1);
-  const obs::analysis::TelemetryLog full = obs::analysis::load_telemetry(whole);
-  ASSERT_EQ(full.lines.size(), 5u);
+  const obs::TelemetryLog full = obs::load_telemetry(whole);
+  ASSERT_EQ(full.events.size(), 5u);
   const std::string extra =
       "{\"seq\": 99, \"ts_ms\": 1, \"type\": \"heartbeat\"}\n";
   for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
@@ -328,12 +327,11 @@ TEST(TornAtEveryByte, TelemetryLoadsAPrefixAndReopenedLogAppendsCleanly) {
     const std::size_t lines = count_newlines(prefix);
     const std::size_t complete = lines > 0 ? lines - 1 : 0;
 
-    const obs::analysis::TelemetryLog log =
-        obs::analysis::load_telemetry(prefix);
-    ASSERT_EQ(log.lines.size(), complete);
+    const obs::TelemetryLog log = obs::load_telemetry(prefix);
+    ASSERT_EQ(log.events.size(), complete);
     for (std::size_t i = 0; i < complete; ++i) {
-      EXPECT_EQ(log.lines[i].seq, full.lines[i].seq);
-      EXPECT_EQ(log.lines[i].type, full.lines[i].type);
+      EXPECT_EQ(log.events[i].seq, full.events[i].seq);
+      EXPECT_EQ(log.events[i].type, full.events[i].type);
     }
     EXPECT_EQ(log.dropped_partial,
               prefix.empty() || prefix.back() == '\n' ? 0u : 1u);
@@ -343,10 +341,9 @@ TEST(TornAtEveryByte, TelemetryLoadsAPrefixAndReopenedLogAppendsCleanly) {
     const std::string kept =
         lines == 0 ? header : prefix.substr(0, prefix.rfind('\n') + 1);
     ASSERT_EQ(slurp(path), kept + extra);
-    const obs::analysis::TelemetryLog reopened =
-        obs::analysis::load_telemetry(slurp(path));
-    ASSERT_EQ(reopened.lines.size(), complete + 1);
-    EXPECT_EQ(reopened.lines.back().seq, 99u);
+    const obs::TelemetryLog reopened = obs::load_telemetry(slurp(path));
+    ASSERT_EQ(reopened.events.size(), complete + 1);
+    EXPECT_EQ(reopened.events.back().seq, 99u);
     EXPECT_EQ(reopened.dropped_partial, 0u);
   }
 }
